@@ -4,7 +4,7 @@ import org.roaringbitmap.RoaringBitmap
 import repro.core._
 import scala.collection.mutable
 
-/** Intermediate tuples of the serial engine: prefixed column names + rows. */
+/** Boxed result rows of the serial engines: prefixed column names + rows. */
 final class Inter(val schema: IndexedSeq[String], val rows: mutable.ArrayBuffer[Array[Any]]) {
   private val byName = schema.zipWithIndex.toMap
   def idx(c: String): Int = byName.getOrElse(c, sys.error(s"no column $c in ${schema.mkString(",")}"))
@@ -28,11 +28,17 @@ final class ColMetrics {
   * subtree builds, sip passes row/zone bitmasks to probe-side scans, reverse
   * semijoins go through the CSR RID index, and join merging drops eligible
   * relationship leaves. Unlike the Spark engine, zone skipping here is
-  * physical: skipped zones are never iterated.
+  * physical: ScanSJ visits only the set bits of the row bitmask, so skipped
+  * zones are never touched and "scanned" counts the rows actually read.
+  *
+  * Execution is late-materialized: scans test compiled predicates on row
+  * ids, and every intermediate result is a [[Rel]] of row-id vectors, one
+  * per alias. Column values are read from the base arrays only for join
+  * keys, bitmasks and the final projection or aggregate, which is boxed
+  * into an [[Inter]] once.
   */
 final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig) {
   private def grain = cfg.ridJoins
-  private def pfx(alias: String, c: String) = s"${alias}_$c"
 
   def run(q: Query, planOverride: Option[Plan] = None): (Inter, ColMetrics) = {
     val m = new ColMetrics
@@ -44,116 +50,37 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
     def isRewritten(j: JoinPred): Option[Rewrites.EdgeRewrite] =
       if (!grain) None else Rewrites.resolve(cat, q, j)
 
-    def neededColsOf(alias: String): Seq[String] =
-      if (!grain) q.neededCols(alias)
-      else {
-        val rewrittenCols = joins.filter(_.touches(alias)).flatMap { j =>
-          isRewritten(j) match {
-            case Some(Rewrites.FkPk(fkAlias, ridCol, _, _)) =>
-              if (fkAlias == alias) Seq(ridCol) else Seq.empty
-            case Some(fkfk: Rewrites.FkFk) =>
-              if (fkfk.aAlias == alias) Seq(fkfk.aRidCol) else Seq(fkfk.bRidCol)
-            case None => Seq(j.colOf(alias))
-          }
-        }
-        val outPredCols = q.out.filter(_.alias == alias).map(_.col) ++
-          q.agg.toSeq.flatMap(a => a.groupBy.filter(_.alias == alias).map(_.col) ++
-            a.aggs.flatMap(_.of).filter(_.alias == alias).map(_.col)) ++
-          q.ref(alias).pred.toSeq.flatMap(_.cols)
-        (outPredCols ++ rewrittenCols ++ Seq("__rid")).distinct
+    /** The (alias, column) pair each side of `j` joins on, left side first. */
+    def keyCols(j: JoinPred, lSet: Set[String]): ((String, String), (String, String)) = {
+      val (a, b) = isRewritten(j) match {
+        case Some(Rewrites.FkPk(fkAlias, ridCol, pkAlias, _)) => ((fkAlias, ridCol), (pkAlias, "__rid"))
+        case Some(fkfk: Rewrites.FkFk) => ((fkfk.aAlias, fkfk.aRidCol), (fkfk.bAlias, fkfk.bRidCol))
+        case None                      => ((j.a, j.acol), (j.b, j.bcol))
       }
+      if (lSet(a._1)) (a, b) else (b, a)
+    }
 
-    def scan(alias: String): Inter = {
+    def scan(alias: String): Rel = {
       val tname = q.ref(alias).table
       val t = store(tname)
-      val needed = neededColsOf(alias).toIndexedSeq
-      val colsData = needed.map {
-        case "__rid" if !t.has("__rid") => null // virtual: position
-        case c                          => t.col(c)
-      }
       val pred = q.ref(alias).pred
-      def value(ci: Int, row: Int): Any =
-        if (colsData(ci) == null) row.toLong else colsData(ci).any(row)
-      def getter(row: Int): String => Any = c => {
-        val t2 = t
-        if (c == "__rid" && !t2.has("__rid")) row.toLong else t2.col(c).any(row)
-      }
-      val out = mutable.ArrayBuffer[Array[Any]]()
-      def emit(row: Int): Unit = {
-        if (pred.forall(p => Pred.eval(p, getter(row)))) {
-          val arr = new Array[Any](needed.size)
-          var ci = 0
-          while (ci < needed.size) { arr(ci) = value(ci, row); ci += 1 }
-          out += arr
-        }
-      }
-
+      val test = pred.map(CompiledPred(_, t)).getOrElse(Scan.NoPred)
       val filters = scanFilters.getOrElse(alias, mutable.ArrayBuffer.empty)
       val pointKey: Option[Long] = pred.flatMap(pointLookupKey(_, cat.pk(tname)))
-      if (filters.isEmpty && pointKey.isDefined) {
-        // Primary-key point lookup — what lets DuckDB/GRainDB beat the
-        // GDBMS's sequential node scan on IS1/IS4-style queries (§7.2.2).
-        val matches = t.index(cat.pk(tname).get).getOrElse(pointKey.get, Array.empty[Int])
-        m.scanned(alias) = matches.length.toLong
-        m.indexLookups += 1
-        matches.foreach(emit)
-      } else if (filters.isEmpty) {
-        m.scanned(alias) = t.numRows.toLong
-        var i = 0
-        while (i < t.numRows) { emit(i); i += 1 }
-      } else {
-        // ScanSJ: zone bitmask skips blocks entirely; row bitmask semi-joins.
-        // The scanned-tuples metric counts rows surviving the row bitmask
-        // (what flows into predicate evaluation), matching the granularity
-        // of the paper's Table 4 scan reductions.
-        val combined = filters.reduce((x, y) => RoaringBitmap.and(x, y))
-        val zones = Bitmap.zones(combined)
-        val zs = Bitmap.ZoneSize
-        val nZones = (t.numRows + zs - 1) / zs
-        var scanned = 0L
-        var z = 0
-        while (z < nZones) {
-          if (zones.contains(z)) {
-            val end = math.min((z + 1) * zs, t.numRows)
-            var i = z * zs
-            while (i < end) { if (combined.contains(i)) { scanned += 1; emit(i) }; i += 1 }
-          } else m.zonesSkipped += 1
-          z += 1
-        }
-        m.scanned(alias) = scanned
-      }
-      new Inter(needed.map(c => pfx(alias, c)), out)
+      val out =
+        if (filters.isEmpty && pointKey.isDefined) {
+          // Primary-key point lookup — what lets DuckDB/GRainDB beat the
+          // GDBMS's sequential node scan on IS1/IS4-style queries (§7.2.2).
+          m.indexLookups += 1
+          Scan.rows(t.index(cat.pk(tname).get).getOrElse(pointKey.get, Array.empty[Int]), test)
+        } else if (filters.isEmpty) Scan.all(t.numRows, test)
+        else Scan.setBits(t.numRows, filters.reduce((x, y) => RoaringBitmap.and(x, y)), test)
+      m.scanned(alias) = out.scanned
+      m.zonesSkipped += out.zonesSkipped
+      Rel.leaf(alias, t, out.rows)
     }
 
-    def bitmapOf(in: Inter, colName: String): RoaringBitmap = {
-      val ci = in.idx(colName)
-      val bm = new RoaringBitmap()
-      in.rows.foreach { r =>
-        val v = r(ci).asInstanceOf[Long]
-        if (v >= 0 && v <= Int.MaxValue) bm.add(v.toInt)
-      }
-      bm
-    }
-
-    def hashJoin(l: Inter, r: Inter, keys: Seq[(String, String)]): Inter = {
-      val (lk0, rk0) = keys.head
-      val li = l.idx(lk0); val ri = r.idx(rk0)
-      val extraKeys = keys.tail.map { case (lk, rk) => (l.idx(lk), r.idx(rk)) }
-      val ht = mutable.HashMap[Any, mutable.ArrayBuffer[Array[Any]]]()
-      l.rows.foreach(row => ht.getOrElseUpdate(row(li), mutable.ArrayBuffer[Array[Any]]()) += row)
-      val out = mutable.ArrayBuffer[Array[Any]]()
-      r.rows.foreach { rrow =>
-        m.probes += 1
-        ht.get(rrow(ri)).foreach(_.foreach { lrow =>
-          if (extraKeys.forall { case (lei, rei) => lrow(lei) == rrow(rei) }) {
-            out += (lrow ++ rrow)
-          }
-        })
-      }
-      new Inter(l.schema ++ r.schema, out)
-    }
-
-    def exec(p: Plan): Inter = p match {
+    def exec(p: Plan): Rel = p match {
       case Lf(a) => scan(a)
       case Jn(pl, pr) =>
         val interL = exec(pl)
@@ -162,18 +89,17 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
         val connecting = joins.filter(j => (lSet(j.a) && rSet(j.b)) || (lSet(j.b) && rSet(j.a)))
         val connectingMerged = merged.filter(mj =>
           (lSet(mj.a) && rSet(mj.b)) || (lSet(mj.b) && rSet(mj.a)))
+        def pushFilter(alias: String, bm: RoaringBitmap): Unit =
+          scanFilters.getOrElseUpdate(alias, mutable.ArrayBuffer.empty) += bm
 
         if (grain && cfg.sip) {
           connecting.foreach { j =>
             isRewritten(j).foreach {
               case Rewrites.FkPk(fkAlias, ridCol, pkAlias, fkCol) =>
-                if (lSet(fkAlias)) {
-                  scanFilters.getOrElseUpdate(pkAlias, mutable.ArrayBuffer.empty) +=
-                    bitmapOf(interL, pfx(fkAlias, ridCol))
-                } else if (cfg.reverseSemijoin) {
+                if (lSet(fkAlias)) pushFilter(pkAlias, interL.col(fkAlias, ridCol).bitmap)
+                else if (cfg.reverseSemijoin) {
                   cat.ridIndex(q.ref(fkAlias).table, fkCol).foreach { idx =>
-                    scanFilters.getOrElseUpdate(fkAlias, mutable.ArrayBuffer.empty) +=
-                      idx.mapToF(bitmapOf(interL, pfx(pkAlias, "__rid")))
+                    pushFilter(fkAlias, idx.mapToF(interL.col(pkAlias, "__rid").bitmap))
                   }
                 }
               case fkfk: Rewrites.FkFk if cfg.reverseSemijoin =>
@@ -181,8 +107,7 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
                   if (lSet(fkfk.aAlias)) (fkfk.aAlias, fkfk.aRidCol, fkfk.bAlias, fkfk.bFkCol)
                   else (fkfk.bAlias, fkfk.bRidCol, fkfk.aAlias, fkfk.aFkCol)
                 cat.ridIndex(q.ref(rAlias).table, rFkCol).foreach { idx =>
-                  scanFilters.getOrElseUpdate(rAlias, mutable.ArrayBuffer.empty) +=
-                    idx.mapToF(bitmapOf(interL, pfx(lAlias, lRid)))
+                  pushFilter(rAlias, idx.mapToF(interL.col(lAlias, lRid).bitmap))
                 }
               case _: Rewrites.FkFk => // index use disabled in this config
             }
@@ -191,8 +116,7 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
             val (aAlias, bAlias, aFk) =
               if (lSet(mj.a)) (mj.a, mj.b, mj.aFk) else (mj.b, mj.a, mj.bFk)
             cat.ridIndex(mj.fTable, aFk).filter(_.extended).foreach { idx =>
-              scanFilters.getOrElseUpdate(bAlias, mutable.ArrayBuffer.empty) +=
-                idx.mapToOther(bitmapOf(interL, pfx(aAlias, "__rid")))
+              pushFilter(bAlias, idx.mapToOther(interL.col(aAlias, "__rid").bitmap))
             }
           }
         }
@@ -201,83 +125,63 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
 
         require(connectingMerged.size <= 1,
           s"${q.name}: at most one merged edge may bind per join node")
-        connectingMerged.headOption match {
+        val (li, ri) = connectingMerged.headOption match {
           case Some(mj) =>
             val (aAlias, bAlias, aFk) =
               if (lSet(mj.a)) (mj.a, mj.b, mj.aFk) else (mj.b, mj.a, mj.bFk)
             val idx = cat.ridIndex(mj.fTable, aFk).filter(_.extended)
               .getOrElse(sys.error(s"join merge needs extended index on ${mj.fTable}.$aFk"))
             // SJoinIdxM: pairs come straight from the extended index.
-            val lById = mutable.HashMap[Long, mutable.ArrayBuffer[Array[Any]]]()
-            val lri = interL.idx(pfx(aAlias, "__rid"))
-            interL.rows.foreach(row =>
-              lById.getOrElseUpdate(row(lri).asInstanceOf[Long], mutable.ArrayBuffer[Array[Any]]()) += row)
-            val rById = mutable.HashMap[Long, mutable.ArrayBuffer[Array[Any]]]()
-            val rri = interR.idx(pfx(bAlias, "__rid"))
-            interR.rows.foreach(row =>
-              rById.getOrElseUpdate(row(rri).asInstanceOf[Long], mutable.ArrayBuffer[Array[Any]]()) += row)
-            val (ks, os) = idx.pairsFor(bitmapOf(interL, pfx(aAlias, "__rid")))
-            val out = mutable.ArrayBuffer[Array[Any]]()
+            val lRid = interL.col(aAlias, "__rid")
+            val lById = new LongMultiMap(lRid, interL.size)
+            val rById = new LongMultiMap(interR.col(bAlias, "__rid"), interR.size)
+            val conds = connecting.map { j =>
+              val ((la, lc), (ra, rc)) = keyCols(j, lSet)
+              Join.eq(interL.col(la, lc), interR.col(ra, rc))
+            }.toArray
+            val (ks, os) = idx.pairsFor(lRid.bitmap)
+            val lb = new mutable.ArrayBuilder.ofInt
+            val rb = new mutable.ArrayBuilder.ofInt
+            m.indexLookups += ks.length
             var i = 0
             while (i < ks.length) {
-              m.indexLookups += 1
-              (lById.get(ks(i).toLong), rById.get(os(i).toLong)) match {
-                case (Some(ls), Some(rs)) =>
-                  ls.foreach(lr => rs.foreach(rr => out += (lr ++ rr)))
-                case _ =>
+              var l = lById.first(ks(i))
+              while (l >= 0) {
+                var r = rById.first(os(i))
+                while (r >= 0) {
+                  if (conds.forall(_(l, r))) { lb += l; rb += r }
+                  r = rById.next(r)
+                }
+                l = lById.next(l)
               }
               i += 1
             }
-            var joined = new Inter(interL.schema ++ interR.schema, out)
-            if (connecting.nonEmpty) {
-              val conds = connecting.map(condOf(joined, _))
-              joined = new Inter(joined.schema, joined.rows.filter(r => conds.forall(_(r))))
-            }
-            joined
+            (lb.result(), rb.result())
+          case None if connecting.isEmpty => Join.cross(interL.size, interR.size)
           case None =>
-            if (connecting.isEmpty) {
-              val out = mutable.ArrayBuffer[Array[Any]]()
-              interL.rows.foreach(lr => interR.rows.foreach(rr => out += (lr ++ rr)))
-              new Inter(interL.schema ++ interR.schema, out)
-            } else {
-              val keys = connecting.map { j =>
-                isRewritten(j) match {
-                  case Some(Rewrites.FkPk(fkAlias, ridCol, pkAlias, _)) =>
-                    if (lSet(fkAlias)) (pfx(fkAlias, ridCol), pfx(pkAlias, "__rid"))
-                    else (pfx(pkAlias, "__rid"), pfx(fkAlias, ridCol))
-                  case Some(fkfk: Rewrites.FkFk) =>
-                    if (lSet(fkfk.aAlias)) (pfx(fkfk.aAlias, fkfk.aRidCol), pfx(fkfk.bAlias, fkfk.bRidCol))
-                    else (pfx(fkfk.bAlias, fkfk.bRidCol), pfx(fkfk.aAlias, fkfk.aRidCol))
-                  case None =>
-                    if (lSet(j.a)) (pfx(j.a, j.acol), pfx(j.b, j.bcol))
-                    else (pfx(j.b, j.bcol), pfx(j.a, j.acol))
-                }
-              }
-              hashJoin(interL, interR, keys)
-            }
+            val keys = connecting.map(keyCols(_, lSet))
+            m.probes += interR.size
+            Join.hash(keys.map { case ((a, c), _) => interL.col(a, c) }, interL.size,
+              keys.map { case (_, (a, c)) => interR.col(a, c) }, interR.size)
         }
+        Rel.joined(interL, li, interR, ri)
     }
 
-    def condOf(in: Inter, j: JoinPred): Array[Any] => Boolean =
-      isRewritten(j) match {
-        case Some(Rewrites.FkPk(fkAlias, ridCol, pkAlias, _)) =>
-          val a = in.idx(pfx(fkAlias, ridCol)); val b = in.idx(pfx(pkAlias, "__rid"))
-          r => r(a) == r(b)
-        case Some(fkfk: Rewrites.FkFk) =>
-          val a = in.idx(pfx(fkfk.aAlias, fkfk.aRidCol))
-          val b = in.idx(pfx(fkfk.bAlias, fkfk.bRidCol))
-          r => r(a) == r(b)
-        case None =>
-          val a = in.idx(pfx(j.a, j.acol)); val b = in.idx(pfx(j.b, j.bcol))
-          r => r(a) == r(b)
-      }
-
     val spj = exec(plan)
+    def colOf(oc: OutCol): ColRef = spj.col(oc.alias, oc.col)
     q.agg match {
       case None =>
-        val outIdx = q.out.map(oc => spj.idx(oc.name)).toArray
-        val projected = spj.rows.map(r => outIdx.map(r))
-        (new Inter(q.out.map(_.name).toIndexedSeq, projected), m)
+        val cols = q.out.map(colOf).toArray
+        val rows = new mutable.ArrayBuffer[Array[Any]](spj.size)
+        var i = 0
+        while (i < spj.size) {
+          val row = new Array[Any](cols.length)
+          var c = 0
+          while (c < cols.length) { row(c) = cols(c).any(i); c += 1 }
+          rows += row
+          i += 1
+        }
+        (new Inter(q.out.map(_.name).toIndexedSeq, rows), m)
       case Some(a) =>
         // Global aggregates only (what JOB-lite needs); grouped aggregates
         // run on the Spark engine.
@@ -286,26 +190,34 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
           ae.fn match {
             case "countstar" => spj.size.toLong
             case "count" =>
-              val ci = spj.idx(ae.of.get.name)
-              spj.rows.count(_(ci) != null).toLong
-            case "min" | "max" =>
-              val ci = spj.idx(ae.of.get.name)
-              val vs = spj.rows.iterator.map(_(ci)).filter(_ != null).toSeq
-              if (vs.isEmpty) null
-              else {
-                val sorted = vs.head match {
-                  case _: Long   => vs.asInstanceOf[Seq[Long]].sorted
-                  case _: Double => vs.asInstanceOf[Seq[Double]].sorted
-                  case _: String => vs.asInstanceOf[Seq[String]].sorted
-                  case x         => sys.error(s"cannot aggregate $x")
-                }
-                if (ae.fn == "min") sorted.head else sorted.last
-              }
+              val c = colOf(ae.of.get)
+              (0 until spj.size).count(c.any(_) != null).toLong
+            case "min" | "max" => extreme(colOf(ae.of.get), max = ae.fn == "max")
             case other => sys.error(s"columnar engine does not aggregate with $other")
           }
         }.toArray
         (new Inter(a.aggs.map(_.as).toIndexedSeq, mutable.ArrayBuffer(row)), m)
     }
+  }
+
+  /** MIN or MAX of a column in one pass, null when no value is present. Doubles
+    * compare with `java.lang.Double.compare` (NaN above everything), the order
+    * `sorted` gives them; null strings are not values.
+    */
+  private def extreme(c: ColRef, max: Boolean): Any = {
+    val ids = c.ids
+    val (present, order): (Int => Boolean, (Int, Int) => Int) = c.data match {
+      case null | _: LongCol => (_ => true, (i, j) => java.lang.Long.compare(c.long(i), c.long(j)))
+      case DoubleCol(a)      => (_ => true, (i, j) => java.lang.Double.compare(a(ids(i)), a(ids(j))))
+      case StringCol(a)      => (i => a(ids(i)) != null, (i, j) => a(ids(i)).compareTo(a(ids(j))))
+    }
+    var best = -1
+    var i = 0
+    while (i < ids.length) {
+      if (present(i) && (best < 0 || { val s = order(i, best); if (max) s > 0 else s < 0 })) best = i
+      i += 1
+    }
+    if (best < 0) null else c.any(best)
   }
 
   /** Top-level equality on the table's PK (conjuncts allowed). */

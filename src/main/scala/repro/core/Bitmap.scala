@@ -50,7 +50,7 @@ object Bitmap {
       .as[Long]
       .mapPartitions { it =>
         val bm = new RoaringBitmap()
-        it.foreach(v => if (v >= 0 && v <= Int.MaxValue) bm.add(v.toInt))
+        it.foreach(addRid(bm, _, colName))
         Iterator(serialize(bm))
       }
       .collect()
@@ -58,6 +58,14 @@ object Bitmap {
     parts.foreach(b => merged.or(new RoaringBitmap().tap(_.deserialize(ByteBuffer.wrap(b)))))
     merged
   }
+
+  /** Add RID `v` of column `colName` to a row bitmask. Negative values
+    * (-1 marks a dangling FK) match no row and are skipped; a RID above
+    * `Int.MaxValue` has no bit and fails.
+    */
+  def addRid(bm: RoaringBitmap, v: Long, colName: String): Unit =
+    if (v > Int.MaxValue) throw new IllegalArgumentException(s"$colName: RID $v is above Int.MaxValue")
+    else if (v >= 0) bm.add(v.toInt)
 
   private implicit class Tap[A](private val a: A) extends AnyVal {
     def tap(f: A => Unit): A = { f(a); a }

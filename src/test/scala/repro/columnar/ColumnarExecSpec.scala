@@ -52,6 +52,37 @@ class ColumnarExecSpec extends SparkSpec {
     assert(scans.sliding(2).forall(p => p(1) <= p(0)), scans.toString)
   }
 
+  test("global MIN/MAX order doubles as sorted does (NaN above all) and skip null strings") {
+    import spark.implicits._
+    val tcat = new GrainCatalog(spark)
+    tcat.register("agg_t", Seq[(Long, Double, String)](
+      (1L, 2.5, "b"), (2L, Double.NaN, null), (3L, -0.0, "a"), (4L, 0.0, "c")).toDF("id", "x", "s"), Seq("id"))
+    tcat.freeze()
+    val tstore = new ColumnStore
+    tstore.load("agg_t", tcat.ext("agg_t"))
+    val cols = Seq("id", "x", "s")
+    val aggs = cols.flatMap(c => Seq(AggExpr("min", Some(OutCol("t", c)), s"min_$c"),
+      AggExpr("max", Some(OutCol("t", c)), s"max_$c"))) ++
+      Seq(AggExpr("count", Some(OutCol("t", "s")), "cnt_s"), AggExpr("countstar", None, "n"))
+    def query(pred: Option[Pred]) =
+      Query("agg", Seq(TableRef("t", "agg_t", pred)), Nil, Nil, Some(AggSpec(Nil, aggs)))
+    // The aggregate as a sort of the non-null values would give it.
+    def bySorting(rows: Seq[Int]): Seq[Any] = {
+      def vs(c: String) = rows.map(tstore("agg_t").col(c).any).filter(_ != null)
+      def ends[T: Ordering](xs: Seq[T]): Seq[Any] =
+        if (xs.isEmpty) Seq(null, null) else { val s = xs.sorted; Seq(s.head, s.last) }
+      ends(vs("id").map(_.asInstanceOf[Long])) ++ ends(vs("x").map(_.asInstanceOf[Double])) ++
+        ends(vs("s").map(_.asInstanceOf[String])) ++ Seq(vs("s").size.toLong, rows.size.toLong)
+    }
+    for (cfg <- Seq(GrainConfig.Duck, GrainConfig.Full)) {
+      val (all, _) = new ColumnarExec(tstore, tcat, cfg).run(query(None))
+      assert(all.rows.head.toSeq.map(String.valueOf) == bySorting(0 until 4).map(String.valueOf))
+      assert(all.rows.head(all.idx("max_x")).asInstanceOf[Double].isNaN)
+      val (none, _) = new ColumnarExec(tstore, tcat, cfg).run(query(Some(Pred.eqL("id", 99))))
+      assert(none.rows.head.toSeq == bySorting(Nil))
+    }
+  }
+
   test("Inter exposes schema-addressed columns") {
     val (inter, _) = new ColumnarExec(store, cat, GrainConfig.Duck).run(q("IS5"))
     assert(inter.schema.toSet == Set("p_personid", "p_firstname", "p_lastname"))

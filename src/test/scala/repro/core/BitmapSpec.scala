@@ -42,6 +42,14 @@ class BitmapSpec extends SparkSpec {
     assert(b.toArray.toSeq == Seq(0, 5, 77))
   }
 
+  test("fromColumn fails loudly on a RID above Int.MaxValue, naming the column") {
+    import spark.implicits._
+    val df = Seq(0L, Int.MaxValue.toLong + 1).toDF("rid_x")
+    val e = intercept[Exception](Bitmap.fromColumn(df, "rid_x"))
+    val msgs = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.getMessage)
+    assert(msgs.exists(m => m != null && m.contains("rid_x: RID 2147483648")), e.toString)
+  }
+
   test("semiJoinFilter keeps exactly the rows in the bitmap") {
     import spark.implicits._
     val df = spark.range(0, 100).toDF("r")

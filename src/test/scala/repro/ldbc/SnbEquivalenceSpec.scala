@@ -4,6 +4,7 @@ import repro.{Canon, Oracle, SparkSpec}
 import repro.core._
 import repro.columnar.ColumnarExec
 import repro.graphsim.GraphflowSim
+import scala.collection.mutable
 
 /** Every SNB-M query, every engine, one tiny database: results must agree
   * with each other and with the DuckDB oracle.
@@ -13,46 +14,46 @@ class SnbEquivalenceSpec extends SparkSpec {
 
   private lazy val cat   = LdbcData.catalog(spark, Sf)
   private lazy val store = LdbcData.store(cat)
-  private lazy val sc    = LdbcData.scale(Sf)
-  private lazy val qs    = SnbQueries.queries(sc)
 
   private lazy val duckSpark  = new SparkExec(cat, GrainConfig.Duck)
   private lazy val grainSpark = new SparkExec(cat, GrainConfig.Full)
 
-  private def oracleRows(q: Query): Seq[Seq[String]] = {
-    // Run the vanilla Spark result through the oracle once; its canonical
-    // form then anchors every other engine.
-    val (df, _) = duckSpark.run(q)
-    val tables = q.refs.map(_.table).distinct.map(t => t -> cat.raw(t))
-    Oracle.assertEquivalent(df, QueryIR.toSql(q, cat.rawMap), tables: _*)
-    Canon.ofDf(df)
-  }
+  // Spark-Duck's canonical rows per query, computed once and shared by
+  // every engine's test.
+  private val expectedRows = mutable.Map[String, Seq[Seq[String]]]()
+  private def expected(q: Query): Seq[Seq[String]] =
+    expectedRows.getOrElseUpdate(q.name, Canon.ofDf(duckSpark.run(q)._1))
 
   for (q <- SnbQueries.queries(LdbcData.scale(Sf))) {
     test(s"${q.name}: spark-duck matches DuckDB oracle") {
-      oracleRows(q) // throws on mismatch
+      val (df, _) = duckSpark.run(q)
+      val tables = q.refs.map(_.table).distinct.map(t => t -> cat.raw(t))
+      Oracle.assertEquivalent(df, QueryIR.toSql(q, cat.rawMap), tables: _*)
+      expectedRows(q.name) = Canon.ofDf(df)
     }
 
     test(s"${q.name}: spark-grain matches spark-duck") {
-      val expected = Canon.ofDf(duckSpark.run(q)._1)
-      val got      = Canon.ofDf(grainSpark.run(q)._1)
-      assert(got == expected, s"grain mismatch on ${q.name}")
+      val got = Canon.ofDf(grainSpark.run(q)._1)
+      assert(got == expected(q), s"grain mismatch on ${q.name}")
     }
 
     for ((cfgName, cfg) <- Seq(
         "duck" -> GrainConfig.Duck, "rid-only" -> GrainConfig.RidOnly,
         "no-jm" -> GrainConfig.NoJm, "full" -> GrainConfig.Full)) {
       test(s"${q.name}: columnar[$cfgName] matches spark-duck") {
-        val expected = Canon.ofDf(duckSpark.run(q)._1)
         val (inter, _) = new ColumnarExec(store, cat, cfg).run(q)
-        assert(Canon.ofInter(inter) == expected, s"columnar[$cfgName] mismatch on ${q.name}")
+        assert(Canon.ofInter(inter) == expected(q), s"columnar[$cfgName] mismatch on ${q.name}")
       }
     }
 
+    test(s"${q.name}: columnar[full] with 64-row zones matches spark-duck") {
+      val (inter, _) = Bitmap.withZoneSize(64)(new ColumnarExec(store, cat, GrainConfig.Full).run(q))
+      assert(Canon.ofInter(inter) == expected(q), s"columnar[full] mismatch on ${q.name}")
+    }
+
     test(s"${q.name}: graphsim matches spark-duck") {
-      val expected = Canon.ofDf(duckSpark.run(q)._1)
       val (inter, _) = new GraphflowSim(store).run(q)
-      assert(Canon.ofInter(inter) == expected, s"graphsim mismatch on ${q.name}")
+      assert(Canon.ofInter(inter) == expected(q), s"graphsim mismatch on ${q.name}")
     }
   }
 }
