@@ -1,6 +1,6 @@
 package repro.columnar
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types._
 import scala.collection.mutable
 
@@ -55,14 +55,17 @@ final class ColumnStore {
 
   def apply(name: String): TableData = tables(name)
 
-  /** Load a DataFrame (ordered by `__rid` when present, so array index ==
-    * RID). Dates and any unrecognised types are stored as strings.
+  /** Load a DataFrame with one `collect`, placing each row at its `__rid`
+    * when the column is present, so array index == RID. Dates and any
+    * unrecognised types are stored as strings.
     */
   def load(name: String, df: DataFrame): TableData = {
-    val ordered = if (df.columns.contains("__rid")) df.orderBy("__rid") else df
-    val rows = ordered.collect()
+    val fields = df.schema.fields
+    val rows = fields.indexWhere(_.name == "__rid") match {
+      case -1 => df.collect()
+      case ri => inRidOrder(name, df.collect(), ri)
+    }
     val n = rows.length
-    val fields = ordered.schema.fields
     val cols: IndexedSeq[ColData] = fields.zipWithIndex.map { case (f, ci) =>
       f.dataType match {
         case LongType | IntegerType | ShortType | ByteType =>
@@ -100,5 +103,18 @@ final class ColumnStore {
     val t = new TableData(name, fields.map(_.name).toIndexedSeq, cols, n)
     tables(name) = t
     t
+  }
+
+  /** `rows` permuted so that row r is the one whose `__rid` is r; RIDs
+    * outside 0 until n, or repeated, fail. */
+  private def inRidOrder(name: String, rows: Array[Row], ridIdx: Int): Array[Row] = {
+    val out = new Array[Row](rows.length)
+    rows.foreach { r =>
+      val rid = r.getLong(ridIdx)
+      require(rid >= 0 && rid < out.length && out(rid.toInt) == null,
+        s"$name: __rid $rid is out of range or repeated (${out.length} rows)")
+      out(rid.toInt) = r
+    }
+    out
   }
 }

@@ -201,15 +201,17 @@ final class ColRef(val name: String, val ids: Array[Int], val data: ColData, val
 }
 
 /** Build side of a hash join on a long key: the build rows of each key,
-  * chained in build order. A `__rid` key is dense, so it indexes an array
-  * directly; any other key goes through an open-addressing table.
+  * chained in build order. A `__rid` key is dense, so when the build side
+  * is a sizable share of its table it indexes a table-sized array directly;
+  * a smaller build, and any other key, goes through an open-addressing
+  * table sized to the build side.
   */
 final class LongMultiMap(key: ColRef, n: Int) {
-  private val dense = key.ridBound >= 0
+  val dense: Boolean = key.ridBound >= 0 && n.toLong * LongMultiMap.DenseShare >= key.ridBound
   private val cap =
     if (dense) key.ridBound else Integer.highestOneBit(math.max(2 * n, 2) - 1) << 1
   private val shift = 64 - Integer.numberOfTrailingZeros(cap)
-  private val heads = Array.fill(cap)(-1)
+  private val heads = { val a = new Array[Int](cap); java.util.Arrays.fill(a, -1); a }
   private val keys = if (dense) null else new Array[Long](cap)
   private val nexts = new Array[Int](n)
 
@@ -239,6 +241,13 @@ final class LongMultiMap(key: ColRef, n: Int) {
 
   /** The build row after `i` with the same key, or -1. */
   def next(i: Int): Int = nexts(i)
+}
+
+object LongMultiMap {
+  /** A `__rid` build takes the direct-address path when it holds at least
+    * 1/DenseShare of its table's rows: filling a table-sized array then
+    * costs no more than a few hash slots per build row. */
+  val DenseShare = 8
 }
 
 object Join {

@@ -1,8 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.catalyst.expressions.GenericRow
+import org.apache.spark.sql.types._
 
 /** A user-predefined equality join from FK-side table F to PK-side table P
   * (§3). `ridCol` is the system column materialized into F.
@@ -11,27 +11,108 @@ final case class PredefJoin(fTable: String, fkCol: String, pTable: String, pkCol
   def ridCol: String = s"rid_$fkCol"
 }
 
-/** RID materialization (§3): the `PREDEFINE JOIN` / `ALTER TABLE` analogue. */
+/** RID materialization (§3), the `PREDEFINE JOIN` / `ALTER TABLE` analogue,
+  * as array passes over a table collected to the driver.
+  */
 object RidMaterializer {
-  /** Dense row IDs: `__rid` = 0..n-1 in `orderCols` order. RIDs are assigned
-    * once and then fixed (they are pointers, §6), so assignment is
-    * deterministic via a total sort on the primary key.
+  /** Dense row IDs: the row positions in RID order, so row `order(r)` gets
+    * `__rid` = r. RIDs are assigned once and then fixed (they are pointers,
+    * §6), so the order is a total sort on the primary key: ascending,
+    * lexicographic over composite keys, NULL first, and the order SQL's
+    * `ORDER BY` gives (strings by code point, i.e. UTF-8 bytes; -0.0 = 0.0
+    * and NaN above all for floats). Equal keys keep their input order.
     */
-  def withRid(df: DataFrame, orderCols: Seq[String]): DataFrame = {
-    val w = Window.orderBy(orderCols.map(col): _*)
-    df.withColumn("__rid", row_number().over(w).cast("long") - 1)
+  def ridOrder(rows: Array[Row], schema: StructType, pkCols: Seq[String]): Array[Int] = {
+    val cmps = pkCols.map(c => columnOrder(rows, schema.fieldIndex(c), schema(c).dataType)).toArray
+    val order = Array.tabulate[Integer](rows.length)(Integer.valueOf)
+    java.util.Arrays.sort(order, (a: Integer, b: Integer) => {
+      var r = 0
+      var k = 0
+      while (r == 0 && k < cmps.length) { r = cmps(k)(a, b); k += 1 }
+      r
+    })
+    order.map(_.intValue)
   }
 
-  /** Materialize `rid_<fk>` into F: for each F row the RID of the matching P
-    * row, or -1 when the FK dangles (no P row — matches nothing, exactly as
-    * the value join would).
+  private def columnOrder(rows: Array[Row], c: Int, dt: DataType): (Int, Int) => Int = {
+    val nulls = rows.map(_.isNullAt(c))
+    val values: (Int, Int) => Int = dt match {
+      case LongType | IntegerType | ShortType | ByteType =>
+        val a = rows.map(r => if (r.isNullAt(c)) 0L else r.get(c).asInstanceOf[Number].longValue)
+        (i, j) => java.lang.Long.compare(a(i), a(j))
+      case DoubleType | FloatType =>
+        val a = rows.map(r => if (r.isNullAt(c)) 0.0 else r.get(c).asInstanceOf[Number].doubleValue)
+        (i, j) => if (a(i) == a(j)) 0 else java.lang.Double.compare(a(i), a(j))
+      case StringType =>
+        val a = rows.map(_.getString(c))
+        (i, j) => compareCodePoints(a(i), a(j))
+      case _ =>
+        val a = rows.map(_.get(c).asInstanceOf[Comparable[Any]])
+        (i, j) => a(i).compareTo(a(j))
+    }
+    (i, j) =>
+      if (nulls(i)) { if (nulls(j)) 0 else -1 }
+      else if (nulls(j)) 1
+      else values(i, j)
+  }
+
+  private def compareCodePoints(a: String, b: String): Int = {
+    var i = 0
+    while (i < a.length && i < b.length) {
+      val (x, y) = (a.codePointAt(i), b.codePointAt(i))
+      if (x != y) return Integer.compare(x, y)
+      i += Character.charCount(x)
+    }
+    Integer.compare(a.length - i, b.length - i)
+  }
+
+  /** `rid_<fk>` for every F row and the number of dangling FKs: the RID of
+    * the P row whose key equals the FK, or -1 when the FK is NULL or matches
+    * no P row (it dangles, and matches nothing, exactly as the value join
+    * would). P's rows are in RID order. A repeated P key fails, naming
+    * `pName`: each F row points at one P row.
     */
-  def materialize(f: DataFrame, fkCol: String, p: DataFrame, pkCol: String): DataFrame = {
-    val ridCol = s"rid_$fkCol"
-    val lookup = p.select(col(pkCol).as("__pk_tmp"), col("__rid").as(ridCol))
-    f.join(lookup, col(fkCol) === col("__pk_tmp"), "left")
-      .drop("__pk_tmp")
-      .withColumn(ridCol, coalesce(col(ridCol), lit(-1L)))
+  def rids(f: Array[Row], fkIdx: Int, p: Array[Row], pkIdx: Int, pName: String): (Array[Int], Long) = {
+    val byKey = new LongIntMap(p.length)
+    var i = 0
+    while (i < p.length) {
+      if (!p(i).isNullAt(pkIdx) && !byKey.putNew(p(i).getAs[Number](pkIdx).longValue, i))
+        throw new IllegalArgumentException(
+          s"predefined join key $pName is not unique: ${p(i).get(pkIdx)} repeats")
+      i += 1
+    }
+    val out = new Array[Int](f.length)
+    var dangling = 0L
+    i = 0
+    while (i < f.length) {
+      out(i) = if (f(i).isNullAt(fkIdx)) -1 else byKey(f(i).getAs[Number](fkIdx).longValue)
+      if (out(i) < 0) dangling += 1
+      i += 1
+    }
+    (out, dangling)
+  }
+
+  /** Open-addressing map from primitive long keys to non-negative ints. */
+  private final class LongIntMap(n: Int) {
+    private val cap = Integer.highestOneBit(math.max(2 * n, 2) - 1) << 1
+    private val shift = 64 - Integer.numberOfTrailingZeros(cap)
+    private val keys = new Array[Long](cap)
+    private val vals = { val a = new Array[Int](cap); java.util.Arrays.fill(a, -1); a }
+
+    private def slot(k: Long): Int = {
+      var s = ((k * 0x9E3779B97F4A7C15L) >>> shift).toInt
+      while (vals(s) >= 0 && keys(s) != k) s = (s + 1) & (cap - 1)
+      s
+    }
+
+    /** Map `k` to `v`; false if `k` is already mapped. */
+    def putNew(k: Long, v: Int): Boolean = {
+      val s = slot(k)
+      vals(s) < 0 && { keys(s) = k; vals(s) = v; true }
+    }
+
+    /** The value of `k`, or -1. */
+    def apply(k: Long): Int = vals(slot(k))
   }
 }
 
@@ -45,15 +126,19 @@ final class GrainCatalog(val spark: SparkSession) {
   private val extTables = mutable.LinkedHashMap[String, DataFrame]()
   private val rowCounts = mutable.LinkedHashMap[String, Long]()
   private val pkColsOf  = mutable.LinkedHashMap[String, Seq[String]]()
+  /** (fTable, fkCol) -> the materialized `rid_<fk>` column, in F's RID order. */
+  private val ridArrays = mutable.LinkedHashMap[(String, String), Array[Int]]()
   val predefined: mutable.ArrayBuffer[PredefJoin] = mutable.ArrayBuffer()
   /** (fTable, fkCol) -> CSR index keyed by P RIDs. */
   val ridIndices: mutable.LinkedHashMap[(String, String), RidIndexCsr] = mutable.LinkedHashMap()
 
+  private var frozen = false
+
   /** Register a base table; `pkCols` defines the deterministic RID order. */
   def register(name: String, df: DataFrame, pkCols: Seq[String]): Unit = {
     require(!rawTables.contains(name), s"table $name already registered")
+    require(!frozen, s"cannot register $name after freeze()")
     rawTables(name) = df
-    extTables(name) = RidMaterializer.withRid(df, pkCols)
     pkColsOf(name) = pkCols
   }
 
@@ -64,8 +149,7 @@ final class GrainCatalog(val spark: SparkSession) {
   def predefine(pj: PredefJoin): Unit = {
     require(rawTables.contains(pj.fTable) && rawTables.contains(pj.pTable),
       s"unknown table in $pj")
-    extTables(pj.fTable) =
-      RidMaterializer.materialize(extTables(pj.fTable), pj.fkCol, extTables(pj.pTable), pj.pkCol)
+    require(!frozen, s"cannot predefine $pj after freeze()")
     predefined += pj
   }
 
@@ -76,24 +160,59 @@ final class GrainCatalog(val spark: SparkSession) {
     */
   val danglingCounts: mutable.LinkedHashMap[(String, String), Long] = mutable.LinkedHashMap()
 
-  /** Cache the extended tables; call once after all `predefine`s. */
+  /** Materialize RIDs; call once after all `predefine`s. Each table reaches
+    * the driver through one `collect`; `__rid` and every `rid_<fk>` are then
+    * array passes (§3). The extended tables are local DataFrames over the
+    * raw rows in RID order with `__rid` and the `rid_*` columns appended.
+    */
   def freeze(): Unit = {
-    extTables.keys.toSeq.foreach { name =>
-      extTables(name) = extTables(name).cache()
-      rowCounts(name) = extTables(name).count()
+    require(!frozen, "freeze() called twice")
+    val sorted = rawTables.map { case (name, df) =>
+      val rows = df.collect()
+      name -> RidMaterializer.ridOrder(rows, df.schema, pkColsOf(name)).map(rows)
     }
     predefined.foreach { pj =>
-      danglingCounts((pj.fTable, pj.fkCol)) =
-        extTables(pj.fTable).filter(col(pj.ridCol) === -1L).count()
+      def index(t: String, c: String): Int = {
+        val f = rawTables(t).schema(c)
+        require(Seq(LongType, IntegerType, ShortType, ByteType).contains(f.dataType),
+          s"predefined join key $t.$c must be an integer column, not ${f.dataType}")
+        rawTables(t).schema.fieldIndex(c)
+      }
+      val (rids, dangling) = RidMaterializer.rids(sorted(pj.fTable), index(pj.fTable, pj.fkCol),
+        sorted(pj.pTable), index(pj.pTable, pj.pkCol), s"${pj.pTable}.${pj.pkCol}")
+      ridArrays((pj.fTable, pj.fkCol)) = rids
+      danglingCounts((pj.fTable, pj.fkCol)) = dangling
     }
+    sorted.foreach { case (name, rows) =>
+      val ridCols = predefined.filter(_.fTable == name)
+      val ridVals = ridCols.map(pj => ridArrays((pj.fTable, pj.fkCol))).toArray
+      val width = rawTables(name).schema.length
+      val ext = Array.tabulate[Row](rows.length) { i =>
+        val vs = new Array[Any](width + 1 + ridVals.length)
+        var c = 0
+        while (c < width) { vs(c) = rows(i).get(c); c += 1 }
+        vs(width) = i.toLong
+        c = 0
+        while (c < ridVals.length) { vs(width + 1 + c) = ridVals(c)(i).toLong; c += 1 }
+        new GenericRow(vs)
+      }
+      val schema = StructType(rawTables(name).schema.fields ++
+        ("__rid" +: ridCols.map(_.ridCol)).map(StructField(_, LongType, nullable = false)))
+      extTables(name) = spark.createDataFrame(java.util.Arrays.asList(ext: _*), schema)
+      rowCounts(name) = rows.length.toLong
+    }
+    frozen = true
   }
 
   def danglingFree(fTable: String, fkCol: String): Boolean =
     danglingCounts.get((fTable, fkCol)).contains(0L)
 
+  private def afterFreeze[T](m: mutable.Map[String, T], name: String): T =
+    m.getOrElse(name, sys.error(s"table $name: unknown, or catalog not frozen"))
+
   def raw(name: String): DataFrame = rawTables(name)
-  def ext(name: String): DataFrame = extTables(name)
-  def rows(name: String): Long = rowCounts.getOrElseUpdate(name, extTables(name).count())
+  def ext(name: String): DataFrame = afterFreeze(extTables, name)
+  def rows(name: String): Long = afterFreeze(rowCounts, name)
   def tableNames: Seq[String] = rawTables.keys.toSeq
   def rawMap: Map[String, DataFrame] = rawTables.toMap
 
@@ -107,9 +226,10 @@ final class GrainCatalog(val spark: SparkSession) {
   def otherPredef(pj: PredefJoin): Option[PredefJoin] =
     predefined.find(o => o.fTable == pj.fTable && o.fkCol != pj.fkCol)
 
-  /** Build the (possibly extended) RID index on (fTable, fkCol) (§5).
-    * Collected to the driver as int arrays — the paper also keeps these
-    * in-memory in CSR form.
+  /** Build the (possibly extended) RID index on (fTable, fkCol) (§5): a
+    * counting sort of the materialized `rid_<fk>` column, kept in memory in
+    * CSR form as the paper does. Positions are F RIDs, so each key's F-RID
+    * list is ascending.
     *
     * @param extendedWith the second FK column of the relationship table to
     *        extend the index with (§5.2) — pass it explicitly so tables with
@@ -117,27 +237,13 @@ final class GrainCatalog(val spark: SparkSession) {
     */
   def buildRidIndex(fTable: String, fkCol: String,
                     extendedWith: Option[String] = None): RidIndexCsr = {
+    def ridsOf(c: String): Array[Int] =
+      ridArrays.getOrElse((fTable, c), sys.error(s"no predefined join on $fTable.$c"))
     val pj = predefined.find(p => p.fTable == fTable && p.fkCol == fkCol)
       .getOrElse(sys.error(s"no predefined join on $fTable.$fkCol"))
-    val otherCol = extendedWith.map { oc =>
-      predefined.find(p => p.fTable == fTable && p.fkCol == oc)
-        .getOrElse(sys.error(s"no predefined join on $fTable.$oc")).ridCol
-    }
-    val f = ext(fTable)
-    val cols = Seq(col(pj.ridCol).cast("int"), col("__rid").cast("int")) ++
-      otherCol.map(c => col(c).cast("int"))
-    val rowsArr = f.select(cols: _*).collect()
-    val n = rowsArr.length
-    val keys = new Array[Int](n); val fs = new Array[Int](n)
-    val others = if (otherCol.isDefined) new Array[Int](n) else null
-    var i = 0
-    while (i < n) {
-      val r = rowsArr(i)
-      keys(i) = r.getInt(0); fs(i) = r.getInt(1)
-      if (others != null) others(i) = r.getInt(2)
-      i += 1
-    }
-    val idx = RidIndexCsr.build(rows(pj.pTable).toInt, keys, fs, others)
+    val keys = ridsOf(fkCol)
+    val idx = RidIndexCsr.build(rows(pj.pTable).toInt, keys, Array.range(0, keys.length),
+      extendedWith.map(ridsOf).orNull)
     ridIndices((fTable, fkCol)) = idx
     idx
   }

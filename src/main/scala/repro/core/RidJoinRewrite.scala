@@ -2,9 +2,11 @@ package repro.core
 
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.catalyst.expressions.{Attribute, AttributeReference, EqualTo, Expression}
+import org.apache.spark.sql.catalyst.optimizer.ConvertToLocalRelation
 import org.apache.spark.sql.catalyst.plans.Inner
 import org.apache.spark.sql.catalyst.plans.logical.{Join, LeafNode, LogicalPlan, Project}
 import org.apache.spark.sql.catalyst.rules.Rule
+import org.apache.spark.sql.internal.SQLConf
 
 /** The Case-2 rewrite of §4 as a genuine Catalyst optimizer rule.
   *
@@ -113,15 +115,31 @@ final class RidJoinRewrite(catalog: GrainCatalog) extends Rule[LogicalPlan] {
 }
 
 object RidJoinRewrite {
-  /** Install into the session's experimental optimizations (idempotent). */
+  /** Install into the session's experimental optimizations (idempotent).
+    * The extended tables are local relations ([[GrainCatalog.freeze]]), and
+    * `ConvertToLocalRelation` would fold the pruning `Project`s above them
+    * into new local relations without the RID columns, so it is excluded
+    * while the rule is installed.
+    */
   def install(spark: SparkSession, catalog: GrainCatalog): RidJoinRewrite = {
     val rule = new RidJoinRewrite(catalog)
     spark.experimental.extraOptimizations =
       spark.experimental.extraOptimizations.filterNot(_.isInstanceOf[RidJoinRewrite]) :+ rule
+    excludeFolding(spark, on = true)
     rule
   }
 
-  def uninstall(spark: SparkSession): Unit =
+  def uninstall(spark: SparkSession): Unit = {
     spark.experimental.extraOptimizations =
       spark.experimental.extraOptimizations.filterNot(_.isInstanceOf[RidJoinRewrite])
+    excludeFolding(spark, on = false)
+  }
+
+  private def excludeFolding(spark: SparkSession, on: Boolean): Unit = {
+    val key = SQLConf.OPTIMIZER_EXCLUDED_RULES.key
+    val rules = spark.conf.getOption(key).toSeq.flatMap(_.split(",")).map(_.trim)
+      .filter(r => r.nonEmpty && r != ConvertToLocalRelation.ruleName)
+    val next = if (on) rules :+ ConvertToLocalRelation.ruleName else rules
+    if (next.isEmpty) spark.conf.unset(key) else spark.conf.set(key, next.mkString(","))
+  }
 }

@@ -125,6 +125,21 @@ class KernelsSpec extends AnyFunSuite {
     assert(ht.first(6) == 0 && ht.first(5) == -1 && ht.first(-1) == -1 && ht.first(7) == -1)
   }
 
+  test("a tiny __rid build over a large table hashes, with the dense path's pairs") {
+    val ids = Array(5, 2, 5)
+    val probe = new ColRef("p.l", Array.range(0, 6), LongCol(Array(5L, -1L, 2L, 7L, 5L, 1L << 40)), -1)
+    def pairs(ridBound: Int) = {
+      val build = new ColRef("a.__rid", ids, null, ridBound)
+      val (li, ri) = Join.hash(Seq(build), ids.length, Seq(probe), 6)
+      (new LongMultiMap(build, ids.length).dense, li.toSeq.zip(ri.toSeq))
+    }
+    val (small, dense) = pairs(8)
+    val (large, hashed) = pairs(1 << 24)
+    assert(small && !large)
+    assert(hashed == dense)
+    assert(dense == Seq((0, 0), (2, 0), (1, 2), (0, 4), (2, 4)))
+  }
+
   test("bitmask build fails loudly on a RID above Int.MaxValue, naming the column") {
     val rel = Rel.leaf("a", t, Array(0, 1, 2))
     assert(rel.col("a", "l").bitmap.toArray.toSeq == Seq(0, 2)) // -1 (dangling) skipped
