@@ -11,6 +11,13 @@ import org.apache.spark.sql.types._
   * the DuckDB oracle sees identical input.
   */
 object SynthData {
+  /** Partitions of every generated table, in this and the other
+    * generators. `rand(seed)` draws per partition, so the data depend on
+    * this count; fixing it makes a seed give the same tables on any core
+    * count, and the tables the grainperf benchmark (pinned to two) measures.
+    */
+  val Partitions = 2
+
   private val NLineitemPerSf = 6_000_000L
   private val NOrdersPerSf   = 1_500_000L
   private val NCustomerPerSf =   150_000L
@@ -24,7 +31,7 @@ object SynthData {
     import spark.implicits._
     val nOrders = n(NOrdersPerSf, sf); val nPart = n(NPartPerSf, sf)
     val nSupp = n(NSupplierPerSf, sf)
-    spark.range(n(NLineitemPerSf, sf)).select(
+    spark.range(0, n(NLineitemPerSf, sf), 1, Partitions).select(
       (rand(seed)     * nOrders + 1).cast(LongType)    as "l_orderkey",
       (rand(seed + 1) * nPart   + 1).cast(LongType)    as "l_partkey",
       (rand(seed + 10) * nSupp  + 1).cast(LongType)    as "l_suppkey",
@@ -45,7 +52,7 @@ object SynthData {
   def orders(spark: SparkSession, sf: Double = 0.01, seed: Long = 1): DataFrame = {
     import spark.implicits._
     val nCust = n(NCustomerPerSf, sf)
-    spark.range(1, n(NOrdersPerSf, sf) + 1).toDF("o_orderkey").select(
+    spark.range(1, n(NOrdersPerSf, sf) + 1, 1, Partitions).toDF("o_orderkey").select(
       $"o_orderkey",
       (rand(seed)     * nCust + 1).cast(LongType)             as "o_custkey",
       element_at(array(lit("O"), lit("F"), lit("P")),
@@ -61,7 +68,7 @@ object SynthData {
 
   def customer(spark: SparkSession, sf: Double = 0.01, seed: Long = 2): DataFrame = {
     import spark.implicits._
-    spark.range(1, n(NCustomerPerSf, sf) + 1).toDF("c_custkey").select(
+    spark.range(1, n(NCustomerPerSf, sf) + 1, 1, Partitions).toDF("c_custkey").select(
       $"c_custkey",
       (rand(seed) * 25).cast(IntegerType)                as "c_nationkey",
       round(rand(seed + 1) * 10000 - 1000, 2)            as "c_acctbal",
@@ -73,7 +80,7 @@ object SynthData {
 
   def part(spark: SparkSession, sf: Double = 0.01, seed: Long = 5): DataFrame = {
     import spark.implicits._
-    spark.range(1, n(NPartPerSf, sf) + 1).toDF("p_partkey").select(
+    spark.range(1, n(NPartPerSf, sf) + 1, 1, Partitions).toDF("p_partkey").select(
       $"p_partkey",
       element_at(array(lit("STANDARD"), lit("SMALL"), lit("MEDIUM"),
                        lit("LARGE"), lit("ECONOMY"), lit("PROMO")),
@@ -85,7 +92,7 @@ object SynthData {
 
   def supplier(spark: SparkSession, sf: Double = 0.01, seed: Long = 6): DataFrame = {
     import spark.implicits._
-    spark.range(1, n(NSupplierPerSf, sf) + 1).toDF("s_suppkey").select(
+    spark.range(1, n(NSupplierPerSf, sf) + 1, 1, Partitions).toDF("s_suppkey").select(
       $"s_suppkey",
       (rand(seed) * 25).cast(IntegerType)            as "s_nationkey",
       round(rand(seed + 1) * 10000 - 1000, 2)        as "s_acctbal",
@@ -117,7 +124,7 @@ object SynthData {
   def partsupp(spark: SparkSession, sf: Double = 0.01, seed: Long = 8): DataFrame = {
     import spark.implicits._
     val nPart = n(NPartPerSf, sf); val nSupp = n(NSupplierPerSf, sf)
-    spark.range(1, n(NPartsuppPerSf, sf) + 1).toDF("ps_id").select(
+    spark.range(1, n(NPartsuppPerSf, sf) + 1, 1, Partitions).toDF("ps_id").select(
       $"ps_id",
       (rand(seed)     * nPart + 1).cast(LongType)  as "ps_partkey",
       (rand(seed + 1) * nSupp + 1).cast(LongType)  as "ps_suppkey",
@@ -132,7 +139,7 @@ object SynthData {
     import spark.implicits._
     // Inverse-CDF draw over rank weights 1/k^alpha; good enough for skew.
     val norm = (1L to math.min(nKeys, 10000L)).map(k => 1.0 / math.pow(k, alpha)).sum
-    spark.range(rows).select(
+    spark.range(0, rows, 1, Partitions).select(
       least(lit(nKeys),
             greatest(lit(1L),
               pow(lit(1.0) / (rand(seed) * norm + 1e-9), lit(1.0 / alpha)).cast(LongType)
@@ -143,7 +150,7 @@ object SynthData {
 
   def uniformKeys(spark: SparkSession, rows: Long, nKeys: Long, seed: Long = 4): DataFrame = {
     import spark.implicits._
-    spark.range(rows).select(
+    spark.range(0, rows, 1, Partitions).select(
       (rand(seed) * nKeys + 1).cast(LongType) as "k",
       rand(seed + 1)                          as "v",
     )

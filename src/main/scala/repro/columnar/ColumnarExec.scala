@@ -1,6 +1,5 @@
 package repro.columnar
 
-import org.roaringbitmap.RoaringBitmap
 import repro.core._
 import scala.collection.mutable
 
@@ -44,8 +43,10 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
     val m = new ColMetrics
     val plan0 = planOverride.getOrElse(q.plan)
     val (joins, merged, plan) = JoinMerge.preprocess(q, plan0, cat, enabled = grain && cfg.joinMerge)
-    val scanFilters = mutable.Map[String, mutable.ArrayBuffer[RoaringBitmap]]()
+    val scanFilters = mutable.Map[String, mutable.ArrayBuffer[RowMask]]()
     merged.foreach(mj => m.scanned(mj.fAlias) = 0L)
+
+    def rowsOf(alias: String): Int = store(q.ref(alias).table).numRows
 
     def isRewritten(j: JoinPred): Option[Rewrites.EdgeRewrite] =
       if (!grain) None else Rewrites.resolve(cat, q, j)
@@ -74,7 +75,7 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
           m.indexLookups += 1
           Scan.rows(t.index(cat.pk(tname).get).getOrElse(pointKey.get, Array.empty[Int]), test)
         } else if (filters.isEmpty) Scan.all(t.numRows, test)
-        else Scan.setBits(t.numRows, filters.reduce((x, y) => RoaringBitmap.and(x, y)), test)
+        else Scan.setBits(t.numRows, filters.reduce(_ and _), test)
       m.scanned(alias) = out.scanned
       m.zonesSkipped += out.zonesSkipped
       Rel.leaf(alias, t, out.rows)
@@ -89,17 +90,17 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
         val connecting = joins.filter(j => (lSet(j.a) && rSet(j.b)) || (lSet(j.b) && rSet(j.a)))
         val connectingMerged = merged.filter(mj =>
           (lSet(mj.a) && rSet(mj.b)) || (lSet(mj.b) && rSet(mj.a)))
-        def pushFilter(alias: String, bm: RoaringBitmap): Unit =
-          scanFilters.getOrElseUpdate(alias, mutable.ArrayBuffer.empty) += bm
+        def pushFilter(alias: String, mask: RowMask): Unit =
+          scanFilters.getOrElseUpdate(alias, mutable.ArrayBuffer.empty) += mask
 
         if (grain && cfg.sip) {
           connecting.foreach { j =>
             isRewritten(j).foreach {
               case Rewrites.FkPk(fkAlias, ridCol, pkAlias, fkCol) =>
-                if (lSet(fkAlias)) pushFilter(pkAlias, interL.col(fkAlias, ridCol).bitmap)
+                if (lSet(fkAlias)) pushFilter(pkAlias, interL.col(fkAlias, ridCol).mask(rowsOf(pkAlias)))
                 else if (cfg.reverseSemijoin) {
                   cat.ridIndex(q.ref(fkAlias).table, fkCol).foreach { idx =>
-                    pushFilter(fkAlias, idx.mapToF(interL.col(pkAlias, "__rid").bitmap))
+                    pushFilter(fkAlias, idx.mapToF(interL.col(pkAlias, "__rid").mask(idx.nKeys), rowsOf(fkAlias)))
                   }
                 }
               case fkfk: Rewrites.FkFk if cfg.reverseSemijoin =>
@@ -107,7 +108,7 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
                   if (lSet(fkfk.aAlias)) (fkfk.aAlias, fkfk.aRidCol, fkfk.bAlias, fkfk.bFkCol)
                   else (fkfk.bAlias, fkfk.bRidCol, fkfk.aAlias, fkfk.aFkCol)
                 cat.ridIndex(q.ref(rAlias).table, rFkCol).foreach { idx =>
-                  pushFilter(rAlias, idx.mapToF(interL.col(lAlias, lRid).bitmap))
+                  pushFilter(rAlias, idx.mapToF(interL.col(lAlias, lRid).mask(idx.nKeys), rowsOf(rAlias)))
                 }
               case _: Rewrites.FkFk => // index use disabled in this config
             }
@@ -116,15 +117,13 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
             val (aAlias, bAlias, aFk) =
               if (lSet(mj.a)) (mj.a, mj.b, mj.aFk) else (mj.b, mj.a, mj.bFk)
             cat.ridIndex(mj.fTable, aFk).filter(_.extended).foreach { idx =>
-              pushFilter(bAlias, idx.mapToOther(interL.col(aAlias, "__rid").bitmap))
+              pushFilter(bAlias, idx.mapToOther(interL.col(aAlias, "__rid").mask(idx.nKeys), rowsOf(bAlias)))
             }
           }
         }
 
         val interR = exec(pr)
 
-        require(connectingMerged.size <= 1,
-          s"${q.name}: at most one merged edge may bind per join node")
         val (li, ri) = connectingMerged.headOption match {
           case Some(mj) =>
             val (aAlias, bAlias, aFk) =
@@ -139,7 +138,7 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
               val ((la, lc), (ra, rc)) = keyCols(j, lSet)
               Join.eq(interL.col(la, lc), interR.col(ra, rc))
             }.toArray
-            val (ks, os) = idx.pairsFor(lRid.bitmap)
+            val (ks, os) = idx.pairsFor(lRid.mask(idx.nKeys))
             val lb = new mutable.ArrayBuilder.ofInt
             val rb = new mutable.ArrayBuilder.ofInt
             m.indexLookups += ks.length

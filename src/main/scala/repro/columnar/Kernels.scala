@@ -1,6 +1,5 @@
 package repro.columnar
 
-import org.roaringbitmap.RoaringBitmap
 import repro.core._
 import scala.collection.mutable
 
@@ -108,36 +107,34 @@ object Scan {
   }
 
   /** ScanSJ (§4): visit the set bits of the AND-ed row bitmask in RID order,
-    * so a zone with no set bit is never touched. Bits at or above `numRows`
-    * are not rows and are not scanned, but a bit in the table's last,
-    * partial zone still counts that zone as touched. Zones are
-    * [[Bitmap.ZoneSize]] rows.
+    * finding each with `numberOfTrailingZeros` on the mask's words, so a
+    * zone with no set bit is never touched. Every set bit is a row, so the
+    * rows scanned are the mask's cardinality. Zones are [[Bitmap.ZoneSize]]
+    * rows.
     */
-  def setBits(numRows: Int, bm: RoaringBitmap, pred: Int => Boolean): ScanOut = {
+  def setBits(numRows: Int, mask: RowMask, pred: Int => Boolean): ScanOut = {
+    require(mask.numRows == numRows, s"a mask over ${mask.numRows} rows cannot filter $numRows rows")
     val zs = Bitmap.ZoneSize
     val nZones = (numRows + zs - 1) / zs
-    val out = new Array[Int](math.min(bm.getLongCardinality, numRows.toLong).toInt)
+    val scanned = mask.cardinality
+    val out = new Array[Int](scanned)
+    val words = mask.words
     var k = 0
-    var scanned = 0L
     var touched = 0L
     var lastZone = -1
-    val it = bm.getIntIterator
-    var more = it.hasNext
-    while (more) {
-      val i = it.next()
-      // Iteration is unsigned, so a negative bit comes after every row.
-      val z = if (i < 0) nZones else i / zs
-      if (z >= nZones) more = false
-      else {
+    var w = 0
+    while (w < words.length) {
+      var bits = words(w)
+      while (bits != 0L) {
+        val i = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
+        val z = i / zs
         if (z != lastZone) { touched += 1; lastZone = z }
-        if (i < numRows) {
-          scanned += 1
-          if (pred(i)) { out(k) = i; k += 1 }
-        }
-        more = it.hasNext
+        if (pred(i)) { out(k) = i; k += 1 }
+        bits &= bits - 1
       }
+      w += 1
     }
-    new ScanOut(trim(out, k), scanned, nZones - touched)
+    new ScanOut(trim(out, k), scanned.toLong, nZones - touched)
   }
 
   private def trim(a: Array[Int], n: Int): Array[Int] =
@@ -177,7 +174,9 @@ object Rel {
   }
 }
 
-/** One column of a [[Rel]], read through its row ids.
+/** One column of a [[Rel]], read through its row ids. A RID column
+  * (`__rid` or a materialized `rid_<fk>`) also gives the row bitmask of its
+  * values ([[mask]]), which sip, SJoinIdxR and SJoinIdxM start from.
   *
   * @param data     the base column, or null for `__rid`
   * @param ridBound the table's row count when this is `__rid` (its values
@@ -189,14 +188,16 @@ final class ColRef(val name: String, val ids: Array[Int], val data: ColData, val
   def long(i: Int): Long = if (data == null) ids(i).toLong else longs(ids(i))
   def any(i: Int): Any = if (data == null) ids(i).toLong else data.any(ids(i))
 
-  /** The row bitmask of this RID column's values (§4). -1, the dangling-FK
-    * sentinel, matches no row and is skipped.
+  /** The row bitmask (§4) of this RID column's values over the `numRows`
+    * rows of the table they point into. -1, the dangling-FK sentinel,
+    * matches no row and is skipped; any other value outside the table
+    * fails, naming this column.
     */
-  def bitmap: RoaringBitmap = {
-    val bm = new RoaringBitmap()
+  def mask(numRows: Int): RowMask = {
+    val m = new RowMask(numRows)
     var i = 0
-    while (i < ids.length) { Bitmap.addRid(bm, long(i), name); i += 1 }
-    bm
+    while (i < ids.length) { m.add(long(i), name); i += 1 }
+    m
   }
 }
 

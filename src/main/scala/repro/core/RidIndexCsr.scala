@@ -1,7 +1,5 @@
 package repro.core
 
-import org.roaringbitmap.RoaringBitmap
-
 /** In-memory RID index (§5) in compressed-sparse-row form — the analogue of a
   * GDBMS adjacency-list index.
   *
@@ -31,64 +29,93 @@ final class RidIndexCsr(
     java.util.Arrays.copyOfRange(fRids, offsets(key), offsets(key + 1))
 
   /** Reverse-semijoin bitmask (§5.1): union of F-RID lists over the P-RIDs in
-    * `keys` — what SJoinIdxR passes to ScanSJ(F).
+    * `keys` — what SJoinIdxR passes to ScanSJ(F). The mask is sized to F's
+    * `fRows` rows; keys at or above `nKeys` have no list and are ignored.
     */
-  def mapToF(keys: RoaringBitmap): RoaringBitmap = {
-    val out = new RoaringBitmap()
-    val it  = keys.getIntIterator
-    while (it.hasNext) {
-      val k = it.next()
-      if (k >= 0 && k < nKeys) {
-        var i = offsets(k)
-        val end = offsets(k + 1)
-        while (i < end) { out.add(fRids(i)); i += 1 }
+  def mapToF(keys: RowMask, fRows: Int): RowMask = mapThrough(keys, fRids, fBound, fRows)
+
+  /** Other-side RIDs reachable from `keys` (join-merged semijoin bitmask,
+    * §5.2), as a mask over the other table's `otherRows` rows. A dangling
+    * other-FK (-1) reaches no row.
+    */
+  def mapToOther(keys: RowMask, otherRows: Int): RowMask = mapThrough(keys, otherRids, otherBound, otherRows)
+
+  /** One past the largest F (other) RID the index holds. */
+  private lazy val fBound = fRids.foldLeft(-1)(math.max) + 1
+  private lazy val otherBound = otherRids.foldLeft(-1)(math.max) + 1
+
+  /** The mask over `outRows` rows of `targets(i)` for every entry `i` of
+    * every key in `keys`, skipping -1. `bound` is one past the largest
+    * target, so a too-small table fails here instead of setting a bit
+    * beyond its rows.
+    */
+  private def mapThrough(keys: RowMask, targets: Array[Int], bound: Int, outRows: Int): RowMask = {
+    require(outRows >= bound, s"RID index: RID ${bound - 1} is outside the $outRows rows of its table")
+    val out = new RowMask(outRows)
+    val ow = out.words
+    val kw = keys.words
+    val nw = math.min(kw.length, RowMask.wordsFor(nKeys))
+    var w = 0
+    while (w < nw) {
+      var bits = kw(w)
+      while (bits != 0L) {
+        val k = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
+        if (k < nKeys) {
+          var i = offsets(k)
+          val end = offsets(k + 1)
+          while (i < end) {
+            val t = targets(i)
+            if (t >= 0) ow(t >>> 6) |= 1L << t
+            i += 1
+          }
+        }
+        bits &= bits - 1
       }
+      w += 1
     }
     out
   }
 
   /** Join-merging (§5.2): (keyRid, otherRid) pairs for every key in `keys`,
-    * produced without touching F's columns — the implicit join with F.
+    * in key order, produced without touching F's columns — the implicit
+    * join with F.
     */
-  def pairsFor(keys: RoaringBitmap): (Array[Int], Array[Int]) = {
+  def pairsFor(keys: RowMask): (Array[Int], Array[Int]) = {
+    val kw = keys.words
+    val nw = math.min(kw.length, RowMask.wordsFor(nKeys))
     var total = 0
-    var it = keys.getIntIterator
-    while (it.hasNext) {
-      val k = it.next()
-      if (k >= 0 && k < nKeys) total += degree(k)
+    var w = 0
+    while (w < nw) {
+      var bits = kw(w)
+      while (bits != 0L) {
+        val k = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
+        if (k < nKeys) total += degree(k)
+        bits &= bits - 1
+      }
+      w += 1
     }
     val ks = new Array[Int](total)
     val os = new Array[Int](total)
-    var w = 0
-    it = keys.getIntIterator
-    while (it.hasNext) {
-      val k = it.next()
-      if (k >= 0 && k < nKeys) {
-        var i = offsets(k)
-        val end = offsets(k + 1)
-        while (i < end) {
-          // dangling other-FK (-1): the F row matches no P2 row, skip
-          if (otherRids(i) >= 0) { ks(w) = k; os(w) = otherRids(i); w += 1 }
-          i += 1
+    var n = 0
+    w = 0
+    while (w < nw) {
+      var bits = kw(w)
+      while (bits != 0L) {
+        val k = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
+        if (k < nKeys) {
+          var i = offsets(k)
+          val end = offsets(k + 1)
+          while (i < end) {
+            // dangling other-FK (-1): the F row matches no P2 row, skip
+            if (otherRids(i) >= 0) { ks(n) = k; os(n) = otherRids(i); n += 1 }
+            i += 1
+          }
         }
+        bits &= bits - 1
       }
+      w += 1
     }
-    (java.util.Arrays.copyOf(ks, w), java.util.Arrays.copyOf(os, w))
-  }
-
-  /** Other-side RIDs reachable from `keys` (join-merged semijoin bitmask). */
-  def mapToOther(keys: RoaringBitmap): RoaringBitmap = {
-    val out = new RoaringBitmap()
-    val it  = keys.getIntIterator
-    while (it.hasNext) {
-      val k = it.next()
-      if (k >= 0 && k < nKeys) {
-        var i = offsets(k)
-        val end = offsets(k + 1)
-        while (i < end) { if (otherRids(i) >= 0) out.add(otherRids(i)); i += 1 }
-      }
-    }
-    out
+    (java.util.Arrays.copyOf(ks, n), java.util.Arrays.copyOf(os, n))
   }
 
   /** Approximate heap bytes (for the §7.2.2 memory-consumption comparison). */

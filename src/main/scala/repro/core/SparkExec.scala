@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import org.roaringbitmap.RoaringBitmap
 import scala.collection.mutable
 
 /** Ablation switches (§7.3.1): Duck = all off; GRainDB-JM-RSJ = rid joins
@@ -64,9 +63,11 @@ final class SparkExec(cat: GrainCatalog, cfg: GrainConfig) {
       val plan0 = planOverride.getOrElse(q.plan)
       val (joins, merged, plan) =
         JoinMerge.preprocess(q, plan0, cat, enabled = grain && cfg.joinMerge)
-      val scanFilters = mutable.Map[String, mutable.ArrayBuffer[RoaringBitmap]]()
+      val scanFilters = mutable.Map[String, mutable.ArrayBuffer[RowMask]]()
 
       def pfx(alias: String, c: String) = s"${alias}_$c"
+
+      def rowsOf(alias: String): Int = cat.rows(q.ref(alias).table).toInt
 
       def isRewritten(j: JoinPred): Option[Rewrites.EdgeRewrite] =
         if (!grain) None else Rewrites.resolve(cat, q, j)
@@ -147,16 +148,16 @@ final class SparkExec(cat: GrainCatalog, cfg: GrainConfig) {
         } else {
           // Row-bitmask granularity, like Table 4's scan reductions: the
           // count of tuples surviving the ScanSJ semijoin.
-          val combined = filters.reduce { (x, y) => RoaringBitmap.and(x, y) }
-          m.scanned(alias) = math.min(cat.rows(t), combined.getLongCardinality)
+          val combined = filters.reduce(_ and _)
+          m.scanned(alias) = combined.cardinality.toLong
           df = Bitmap.semiJoinFilter(df, pfx(alias, "__rid"), combined)
         }
         df
       }
 
-      def bitmapOf(df: DataFrame, colName: String): RoaringBitmap = {
+      def maskOf(df: DataFrame, colName: String, numRows: Int): RowMask = {
         persisted += df.persist()
-        Bitmap.fromColumn(df, colName)
+        Bitmap.fromColumn(df, colName, numRows)
       }
 
       def exec(plan: Plan): DataFrame = plan match {
@@ -179,16 +180,16 @@ final class SparkExec(cat: GrainCatalog, cfg: GrainConfig) {
                   if (lSet(fkAlias)) {
                     // SJoin: F builds; pass its materialized RIDs to ScanSJ(P).
                     if (sipWorthIt(l, pkAlias)) {
-                      val bm = bitmapOf(dfL, pfx(fkAlias, ridCol))
-                      scanFilters.getOrElseUpdate(pkAlias, mutable.ArrayBuffer.empty) += bm
+                      val mask = maskOf(dfL, pfx(fkAlias, ridCol), rowsOf(pkAlias))
+                      scanFilters.getOrElseUpdate(pkAlias, mutable.ArrayBuffer.empty) += mask
                       m.sipFilters += 1
                     }
                   } else if (cfg.reverseSemijoin && sipWorthIt(l, fkAlias)) {
                     // SJoinIdxR: P builds; map P RIDs through the RID index.
                     cat.ridIndex(q.ref(fkAlias).table, fkCol).foreach { idx =>
-                      val bmP = bitmapOf(dfL, pfx(pkAlias, "__rid"))
+                      val maskP = maskOf(dfL, pfx(pkAlias, "__rid"), idx.nKeys)
                       scanFilters.getOrElseUpdate(fkAlias, mutable.ArrayBuffer.empty) +=
-                        idx.mapToF(bmP)
+                        idx.mapToF(maskP, rowsOf(fkAlias))
                       m.reverseSemijoins += 1
                     }
                   }
@@ -200,9 +201,9 @@ final class SparkExec(cat: GrainCatalog, cfg: GrainConfig) {
                     else (fkfk.bAlias, fkfk.bRidCol, fkfk.aAlias, fkfk.aFkCol)
                   if (sipWorthIt(l, rAlias)) {
                     cat.ridIndex(q.ref(rAlias).table, rFkCol).foreach { idx =>
-                      val bmP = bitmapOf(dfL, pfx(lAlias, lRid))
+                      val maskP = maskOf(dfL, pfx(lAlias, lRid), idx.nKeys)
                       scanFilters.getOrElseUpdate(rAlias, mutable.ArrayBuffer.empty) +=
-                        idx.mapToF(bmP)
+                        idx.mapToF(maskP, rowsOf(rAlias))
                       m.reverseSemijoins += 1
                     }
                   }
@@ -213,9 +214,9 @@ final class SparkExec(cat: GrainCatalog, cfg: GrainConfig) {
               val (aAlias, bAlias, aFk, bFk) =
                 if (lSet(mj.a)) (mj.a, mj.b, mj.aFk, mj.bFk) else (mj.b, mj.a, mj.bFk, mj.aFk)
               cat.ridIndex(mj.fTable, aFk).filter(_.extended).foreach { idx =>
-                val bmA = bitmapOf(dfL, pfx(aAlias, "__rid"))
+                val maskA = maskOf(dfL, pfx(aAlias, "__rid"), idx.nKeys)
                 scanFilters.getOrElseUpdate(bAlias, mutable.ArrayBuffer.empty) +=
-                  idx.mapToOther(bmA)
+                  idx.mapToOther(maskA, rowsOf(bAlias))
               }
             }
           }
@@ -235,8 +236,6 @@ final class SparkExec(cat: GrainCatalog, cfg: GrainConfig) {
             }
 
           // SJoinIdxM (§5.2): join through index pairs, F never scanned.
-          require(connectingMerged.size <= 1,
-            s"${q.name}: at most one merged edge may bind per join node")
           connectingMerged.headOption match {
             case Some(mj) =>
               val (aAlias, bAlias, aFk, _) =
@@ -244,8 +243,7 @@ final class SparkExec(cat: GrainCatalog, cfg: GrainConfig) {
               val idx = cat.ridIndex(mj.fTable, aFk)
                 .filter(_.extended)
                 .getOrElse(sys.error(s"join merge needs extended index on ${mj.fTable}.$aFk"))
-              val bmA = bitmapOf(dfL, pfx(aAlias, "__rid"))
-              val (ks, os) = idx.pairsFor(bmA)
+              val (ks, os) = idx.pairsFor(maskOf(dfL, pfx(aAlias, "__rid"), idx.nKeys))
               val spark = cat.spark
               import spark.implicits._
               val pairs = ks.zip(os).toSeq.toDF("__mk", "__mo")
@@ -311,6 +309,11 @@ final class SparkExec(cat: GrainCatalog, cfg: GrainConfig) {
   * replacing their two edges by a [[MergedJoin]]. Requires extended RID
   * indices in both directions (forward/backward adjacency, §5.2) so the
   * merge works regardless of which entity ends up on the build side.
+  *
+  * A merged edge binds at the join node that first brings P1 and P2
+  * together, and the executors join through at most one merged edge per
+  * node. So a leaf whose merged edge would bind at a node that already
+  * binds another stays in the plan as an ordinary relationship scan.
   */
 object JoinMerge {
   def preprocess(q: Query, plan: Plan, cat: GrainCatalog, enabled: Boolean)
@@ -319,6 +322,7 @@ object JoinMerge {
     var joins = q.joins
     var merged = List.empty[MergedJoin]
     var p = plan
+    val boundNodes = mutable.Set[Set[String]]()
     val outAliases = (q.out.map(_.alias) ++ q.agg.toSeq.flatMap(a =>
       a.groupBy.map(_.alias) ++ a.aggs.flatMap(_.of).map(_.alias))).toSet
 
@@ -338,12 +342,25 @@ object JoinMerge {
         val Seq(j1, j2) = touching
         val (aAlias, _) = j1.other(r.alias)
         val (bAlias, _) = j2.other(r.alias)
-        merged ::= MergedJoin(aAlias, bAlias, r.alias, r.table, j1.colOf(r.alias), j2.colOf(r.alias))
-        joins = joins.filterNot(_.touches(r.alias))
-        p = removeLeaf(p, r.alias).getOrElse(p)
+        // Removing leaves keeps every other join node's two sides apart, so
+        // the node is named by its leaves in the original plan.
+        val node = bindingNode(plan, aAlias, bAlias)
+        if (boundNodes.add(node)) {
+          merged ::= MergedJoin(aAlias, bAlias, r.alias, r.table, j1.colOf(r.alias), j2.colOf(r.alias))
+          joins = joins.filterNot(_.touches(r.alias))
+          p = removeLeaf(p, r.alias).getOrElse(p)
+        }
       }
     }
     (joins, merged, p)
+  }
+
+  /** The leaves of the lowest join node of `p` with `a` and `b` on different
+    * sides. */
+  private def bindingNode(p: Plan, a: String, b: String): Set[String] = p match {
+    case Jn(l, _) if containsLeaf(l, a) && containsLeaf(l, b) => bindingNode(l, a, b)
+    case Jn(_, r) if containsLeaf(r, a) && containsLeaf(r, b) => bindingNode(r, a, b)
+    case _                                                   => p.aliases.toSet
   }
 
   private def containsLeaf(p: Plan, alias: String): Boolean = p match {

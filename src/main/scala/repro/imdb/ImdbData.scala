@@ -3,6 +3,7 @@ package repro.imdb
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
+import repro.SynthData
 import repro.core.{GrainCatalog, PredefJoin}
 import repro.columnar.ColumnStore
 import scala.collection.immutable.ListMap
@@ -40,7 +41,7 @@ object ImdbData {
     nCc = (6000 * s).toInt max 60)
 
   private def ids(spark: SparkSession, n: Long): DataFrame =
-    spark.range(1, n + 1).toDF("id")
+    spark.range(1, n + 1, 1, SynthData.Partitions).toDF("id")
 
   private def skewedId(n: Long, seed: Long) =
     (rand(seed) * rand(seed + 500) * n + 1).cast(LongType)
@@ -110,25 +111,25 @@ object ImdbData {
 
     val mcNotes = array(Seq("(2006) (USA)", "(co-production)", "(presents)",
       "(as Metro-Goldwyn-Mayer Pictures)", "(uncredited)", "(TV)").map(lit): _*)
-    val movieCompanies = spark.range(1, nMc + 1).toDF("mcid").select(
+    val movieCompanies = spark.range(1, nMc + 1, 1, SynthData.Partitions).toDF("mcid").select(
       col("mcid"),
       uniformId(nTitle, seed + 1).as("movie_id"),
       skewedId(nCompany, seed + 2).as("company_id"),
       (pmod(col("mcid") * 31, lit(4)) + 1).as("company_type_id"),
       element_at(mcNotes, (pmod(col("mcid") * 17, lit(6)) + 1).cast(IntegerType)).as("note"))
 
-    val movieKeyword = spark.range(1, nMk + 1).toDF("mkid").select(
+    val movieKeyword = spark.range(1, nMk + 1, 1, SynthData.Partitions).toDF("mkid").select(
       col("mkid"),
       uniformId(nTitle, seed + 3).as("movie_id"),
       skewedId(nKeyword, seed + 4).as("keyword_id"))
 
-    val movieInfo = spark.range(1, nMi + 1).toDF("miid").select(
+    val movieInfo = spark.range(1, nMi + 1, 1, SynthData.Partitions).toDF("miid").select(
       col("miid"),
       uniformId(nTitle, seed + 5).as("movie_id"),
       uniformId(113, seed + 6).as("info_type_id"),
       element_at(genres, (pmod(col("miid") * 13, lit(20)) + 1).cast(IntegerType)).as("info"))
 
-    val movieInfoIdx = spark.range(1, nMiIdx + 1).toDF("mixid").select(
+    val movieInfoIdx = spark.range(1, nMiIdx + 1, 1, SynthData.Partitions).toDF("mixid").select(
       col("mixid"),
       uniformId(nTitle, seed + 7).as("movie_id"),
       (pmod(col("mixid") * 41, lit(8)) + 1).as("info_type_id"), // rating/votes/…
@@ -137,14 +138,14 @@ object ImdbData {
 
     val ciNotes = array(Seq("(producer)", "(voice)", "(voice: English version)",
       "(writer)", "(uncredited)", "(archive footage)", "", "", "", "").map(lit): _*)
-    val castInfo = spark.range(1, nCi + 1).toDF("ciid").select(
+    val castInfo = spark.range(1, nCi + 1, 1, SynthData.Partitions).toDF("ciid").select(
       col("ciid"),
       uniformId(nTitle, seed + 8).as("movie_id"),
       skewedId(nName, seed + 9).as("person_id"),
       (pmod(col("ciid") * 23, lit(12)) + 1).as("role_id"),
       element_at(ciNotes, (pmod(col("ciid") * 19, lit(10)) + 1).cast(IntegerType)).as("note"))
 
-    val akaName = spark.range(1, nAn + 1).toDF("anid").select(
+    val akaName = spark.range(1, nAn + 1, 1, SynthData.Partitions).toDF("anid").select(
       col("anid"),
       uniformId(nName, seed + 10).as("person_id"),
       concat(lit("aka "), col("anid").cast(StringType)).as("name"))
@@ -156,7 +157,7 @@ object ImdbData {
         "edited from", "alternate language version of", "unknown link").map(lit): _*),
       col("id").cast(IntegerType)).as("link"))
 
-    val movieLink = spark.range(1, nMl + 1).toDF("mlid").select(
+    val movieLink = spark.range(1, nMl + 1, 1, SynthData.Partitions).toDF("mlid").select(
       col("mlid"),
       uniformId(nTitle, seed + 11).as("movie_id"),
       uniformId(nTitle, seed + 12).as("linked_movie_id"),
@@ -166,7 +167,7 @@ object ImdbData {
       Seq("cast", "crew", "complete", "complete+verified").map(lit): _*),
       col("id").cast(IntegerType)).as("kind"))
 
-    val completeCast = spark.range(1, nCc + 1).toDF("ccid").select(
+    val completeCast = spark.range(1, nCc + 1, 1, SynthData.Partitions).toDF("ccid").select(
       col("ccid"),
       uniformId(nTitle, seed + 13).as("movie_id"),
       (pmod(col("ccid") * 7, lit(2)) + 1).as("subject_id"),   // cast / crew

@@ -3,6 +3,7 @@ package repro.ldbc
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
+import repro.SynthData
 import repro.core.{GrainCatalog, PredefJoin}
 import repro.columnar.ColumnStore
 import scala.collection.immutable.ListMap
@@ -36,7 +37,7 @@ object LdbcData {
   }
 
   private def ids(spark: SparkSession, n: Long, name: String): DataFrame =
-    spark.range(1, n + 1).toDF(name)
+    spark.range(1, n + 1, 1, SynthData.Partitions).toDF(name)
 
   private def dateCol(seed: Long) =
     (rand(seed) * (DateHi - DateLo)).cast(LongType) + DateLo
@@ -75,7 +76,7 @@ object LdbcData {
         .when(col("placeid") === 2, "China")
         .otherwise(concat(lit("Place"), col("placeid").cast(StringType))).as("name"))
 
-    val knows = spark.range(1, nKnows + 1).toDF("kid").select(
+    val knows = spark.range(1, nKnows + 1, 1, SynthData.Partitions).toDF("kid").select(
       col("kid"),
       uniformId(nPerson, seed + 3).as("person1id"),
       skewedId(nPerson, seed + 4).as("person2id"),
@@ -103,7 +104,7 @@ object LdbcData {
       when(rand(seed + 15) < 0.3, uniformId(nComment, seed + 16)).otherwise(0L).as("replyof_comment"),
       concat(lit("comment-content-"), col("id").cast(StringType)).as("content"))
 
-    val forumPerson = spark.range(1, nForumPerson + 1).toDF("fpid").select(
+    val forumPerson = spark.range(1, nForumPerson + 1, 1, SynthData.Partitions).toDF("fpid").select(
       col("fpid"),
       uniformId(nForum, seed + 17).as("forumid"),
       uniformId(nPerson, seed + 18).as("personid"),
@@ -121,12 +122,12 @@ object LdbcData {
         .otherwise(concat(lit("Class"), col("tagclassid").cast(StringType))).as("tc_name"),
       (col("tagclassid") % lit(nTagClass.toLong) + 1).as("subclassoftagclassid"))
 
-    val postTag = spark.range(1, nPostTag + 1).toDF("ptid").select(
+    val postTag = spark.range(1, nPostTag + 1, 1, SynthData.Partitions).toDF("ptid").select(
       col("ptid"),
       uniformId(nPost, seed + 21).as("messageid"),
       skewedId(nTag, seed + 22).as("tagid"))
 
-    val likesComment = spark.range(1, nLikes + 1).toDF("lid").select(
+    val likesComment = spark.range(1, nLikes + 1, 1, SynthData.Partitions).toDF("lid").select(
       col("lid"),
       uniformId(nPerson, seed + 23).as("personid"),
       skewedId(nComment, seed + 24).as("messageid"),
@@ -137,7 +138,7 @@ object LdbcData {
       concat(lit("Org"), col("organisationid").cast(StringType)).as("name"),
       uniformId(nPlace, seed + 26).as("placeid"))
 
-    val personCompany = spark.range(1, nPersonCompany + 1).toDF("pcid").select(
+    val personCompany = spark.range(1, nPersonCompany + 1, 1, SynthData.Partitions).toDF("pcid").select(
       col("pcid"),
       uniformId(nPerson, seed + 27).as("personid"),
       uniformId(nOrg, seed + 28).as("organisationid"),

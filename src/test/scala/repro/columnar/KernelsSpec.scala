@@ -1,6 +1,5 @@
 package repro.columnar
 
-import org.roaringbitmap.RoaringBitmap
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
@@ -58,11 +57,14 @@ class KernelsSpec extends AnyFunSuite {
     assert(res.passed, res.status.toString)
   }
 
-  private def bm(xs: Int*): RoaringBitmap = { val b = new RoaringBitmap(); xs.foreach(b.add); b }
+  /** A row mask over the rows of `t`. */
+  private def bm(xs: Int*): RowMask = {
+    val m = new RowMask(t.numRows); xs.foreach(x => m.add(x.toLong, "t.__rid")); m
+  }
 
   /** ScanSJ as a zone loop: every zone holding a set bit is walked row by
     * row, testing each row against the bitmask; the rest are skipped. */
-  private def zoneLoop(numRows: Int, combined: RoaringBitmap): (Seq[Int], Long, Long) = {
+  private def zoneLoop(numRows: Int, combined: RowMask): (Seq[Int], Long, Long) = {
     val zones = Bitmap.zones(combined)
     val zs = Bitmap.ZoneSize
     val nZones = (numRows + zs - 1) / zs
@@ -83,11 +85,7 @@ class KernelsSpec extends AnyFunSuite {
       val cases = Seq(
         "bits in a few zones"       -> bm(1, 2, 5),
         "one bit per zone"          -> bm(0, 6),
-        "bits at or above numRows"  -> bm(2, 7, 8, 12, 1000),
-        "only a bit past the end"   -> bm(7),
-        "only bits in later zones"  -> bm(9, 40),
-        "a negative bit"            -> bm(3, -5),
-        "empty bitmask"             -> new RoaringBitmap())
+        "empty bitmask"             -> bm())
       for ((name, b) <- cases) {
         val out = Scan.setBits(t.numRows, b, Scan.NoPred)
         val (rows, scanned, skipped) = zoneLoop(t.numRows, b)
@@ -95,7 +93,7 @@ class KernelsSpec extends AnyFunSuite {
         assert(out.zonesSkipped == skipped, name)
         assert(out.rows.toSeq == rows, name)
       }
-      assert(Scan.setBits(t.numRows, new RoaringBitmap(), Scan.NoPred).zonesSkipped == 2)
+      assert(Scan.setBits(t.numRows, bm(), Scan.NoPred).zonesSkipped == 2)
     }
   }
 
@@ -142,8 +140,23 @@ class KernelsSpec extends AnyFunSuite {
 
   test("bitmask build fails loudly on a RID above Int.MaxValue, naming the column") {
     val rel = Rel.leaf("a", t, Array(0, 1, 2))
-    assert(rel.col("a", "l").bitmap.toArray.toSeq == Seq(0, 2)) // -1 (dangling) skipped
-    val e = intercept[IllegalArgumentException](Rel.leaf("a", t, Array(4)).col("a", "l").bitmap)
+    assert(rel.col("a", "l").mask(t.numRows).toArray.toSeq == Seq(0, 2)) // -1 (dangling) skipped
+    val e = intercept[IllegalArgumentException](Rel.leaf("a", t, Array(4)).col("a", "l").mask(t.numRows))
     assert(e.getMessage.contains("t.l"))
+  }
+
+  test("a row mask cannot hold a RID at or above numRows or below -1: the build fails, naming the column") {
+    // The set-bit scan cases whose bits lay past the table's 7 rows, or
+    // below 0, can no longer be built: a table-sized mask has no such bit.
+    val col = LongCol(Array(2L, 7L, 8L, 12L, 1000L, 9L, 40L, 3L, -5L))
+    for ((name, rows) <- Seq(
+        "bits at or above numRows" -> Array(0, 1, 2, 3, 4),
+        "only a bit past the end"  -> Array(1),
+        "only bits in later zones" -> Array(5, 6),
+        "a negative bit"           -> Array(7, 8))) {
+      val ref = new ColRef("t.rid_x", rows, col, -1)
+      val e = intercept[IllegalArgumentException](ref.mask(t.numRows))
+      assert(e.getMessage.contains("t.rid_x"), name)
+    }
   }
 }

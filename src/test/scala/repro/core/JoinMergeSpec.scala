@@ -3,6 +3,27 @@ package repro.core
 import repro.SparkSpec
 import repro.ldbc.{LdbcData, SnbQueries}
 
+/** Query shapes with two merge-eligible relationship leaves between the
+  * same two entity aliases: mutual `knows` edges. Both merged edges would
+  * bind at the one join node that brings p1 and p2 together.
+  */
+object MergeShapes {
+  private val o = OutCol
+  private val refs = Seq(TableRef("p1", "person"), TableRef("k1", "knows"),
+    TableRef("p2", "person"), TableRef("k2", "knows"))
+  private val joins = Seq(JoinPred("p1", "personid", "k1", "person1id"),
+    JoinPred("k1", "person2id", "p2", "personid"),
+    JoinPred("p2", "personid", "k2", "person1id"),
+    JoinPred("k2", "person2id", "p1", "personid"))
+  private val out = Seq(o("p1", "personid"), o("p2", "personid"), o("p2", "firstname"))
+
+  val queries: Seq[Query] = Seq(
+    Query("MUTUAL-1", refs, joins, out, gfOrder = Some(Seq("p1", "k1", "p2", "k2"))),
+    Query("MUTUAL-2", refs, joins, out,
+      planOpt = Some(Jn(Jn(Lf("p1"), Lf("k1")), Jn(Lf("k2"), Lf("p2")))),
+      gfOrder = Some(Seq("p1", "k1", "p2", "k2"))))
+}
+
 /** Join-merging preprocessing (§5.2): eligibility rules and plan surgery. */
 class JoinMergeSpec extends SparkSpec {
 
@@ -48,6 +69,16 @@ class JoinMergeSpec extends SparkSpec {
     val (_, merged, plan) = JoinMerge.preprocess(query, query.plan, cat, enabled = true)
     assert(merged.map(_.fAlias).toSet == Set("mt1", "mt2"))
     assert(!plan.aliases.contains("mt1") && !plan.aliases.contains("mt2"))
+  }
+
+  test("a merged edge whose join node already binds one leaves its relationship leaf unmerged") {
+    for (query <- MergeShapes.queries) {
+      val (joins, merged, plan) = JoinMerge.preprocess(query, query.plan, cat, enabled = true)
+      assert(merged.map(_.fAlias) == Seq("k1"), query.name)
+      assert(Set(merged.head.a, merged.head.b) == Set("p1", "p2"), query.name)
+      assert(plan.aliases.toSet == Set("p1", "p2", "k2"), query.name)
+      assert(joins.toSet == query.joins.filter(_.touches("k2")).toSet, query.name)
+    }
   }
 
   test("disabled flag passes everything through unchanged") {

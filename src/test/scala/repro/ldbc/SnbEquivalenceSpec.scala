@@ -24,7 +24,9 @@ class SnbEquivalenceSpec extends SparkSpec {
   private def expected(q: Query): Seq[Seq[String]] =
     expectedRows.getOrElseUpdate(q.name, Canon.ofDf(duckSpark.run(q)._1))
 
-  for (q <- SnbQueries.queries(LdbcData.scale(Sf))) {
+  // MergeShapes: two merge-eligible relationship leaves per join node,
+  // which join merging must fall back on instead of failing.
+  for (q <- SnbQueries.queries(LdbcData.scale(Sf)) ++ MergeShapes.queries) {
     test(s"${q.name}: spark-duck matches DuckDB oracle") {
       val (df, _) = duckSpark.run(q)
       val tables = q.refs.map(_.table).distinct.map(t => t -> cat.raw(t))
