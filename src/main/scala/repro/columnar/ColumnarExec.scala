@@ -10,25 +10,16 @@ final class Inter(val schema: IndexedSeq[String], val rows: mutable.ArrayBuffer[
   def size: Int = rows.size
 }
 
-/** Execution metrics of the serial engine (Table 4 / §7.3 analyses). */
-final class ColMetrics {
-  val scanned: mutable.LinkedHashMap[String, Long] = mutable.LinkedHashMap()
-  var probes: Long = 0
-  var indexLookups: Long = 0
-  var zonesSkipped: Long = 0
-  def totalScanned: Long = scanned.values.sum
-}
-
 /** Serial single-threaded columnar executor — the same-substrate stand-in for
   * DuckDB (config [[GrainConfig.Duck]]) and GRainDB (other configs) in the
   * three-system SNB-M comparison (Tables 5/6/10).
   *
-  * Semantics and plan handling mirror [[repro.core.SparkExec]] exactly: left
-  * subtree builds, sip passes row/zone bitmasks to probe-side scans, reverse
-  * semijoins go through the CSR RID index, and join merging drops eligible
-  * relationship leaves. Unlike the Spark engine, zone skipping here is
-  * physical: ScanSJ visits only the set bits of the row bitmask, so skipped
-  * zones are never touched and "scanned" counts the rows actually read.
+  * It interprets the plan [[GrainPlanner]] lowers, as [[repro.core.SparkExec]]
+  * does, and runs every sideways step the lowering emits: unlike the Spark
+  * engine it has no extra pass to pay for, so no step is gated. Zone
+  * skipping here is physical: ScanSJ visits only the set bits of the row
+  * bitmask, so skipped zones are never touched and "scanned" counts the
+  * rows actually read.
   *
   * Execution is late-materialized: scans test compiled predicates on row
   * ids, and every intermediate result is a [[Rel]] of row-id vectors, one
@@ -37,29 +28,13 @@ final class ColMetrics {
   * into an [[Inter]] once.
   */
 final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig) {
-  private def grain = cfg.ridJoins
-
-  def run(q: Query, planOverride: Option[Plan] = None): (Inter, ColMetrics) = {
-    val m = new ColMetrics
-    val plan0 = planOverride.getOrElse(q.plan)
-    val (joins, merged, plan) = JoinMerge.preprocess(q, plan0, cat, enabled = grain && cfg.joinMerge)
+  def run(q: Query, planOverride: Option[Plan] = None): (Inter, QueryMetrics) = {
+    val m = new QueryMetrics
+    val low = GrainPlanner.lower(q, planOverride.getOrElse(q.plan), cfg, cat)
     val scanFilters = mutable.Map[String, mutable.ArrayBuffer[RowMask]]()
-    merged.foreach(mj => m.scanned(mj.fAlias) = 0L)
+    low.mergedAway.foreach(m.scanned(_) = 0L)
 
     def rowsOf(alias: String): Int = store(q.ref(alias).table).numRows
-
-    def isRewritten(j: JoinPred): Option[Rewrites.EdgeRewrite] =
-      if (!grain) None else Rewrites.resolve(cat, q, j)
-
-    /** The (alias, column) pair each side of `j` joins on, left side first. */
-    def keyCols(j: JoinPred, lSet: Set[String]): ((String, String), (String, String)) = {
-      val (a, b) = isRewritten(j) match {
-        case Some(Rewrites.FkPk(fkAlias, ridCol, pkAlias, _)) => ((fkAlias, ridCol), (pkAlias, "__rid"))
-        case Some(fkfk: Rewrites.FkFk) => ((fkfk.aAlias, fkfk.aRidCol), (fkfk.bAlias, fkfk.bRidCol))
-        case None                      => ((j.a, j.acol), (j.b, j.bcol))
-      }
-      if (lSet(a._1)) (a, b) else (b, a)
-    }
 
     def scan(alias: String): Rel = {
       val tname = q.ref(alias).table
@@ -81,63 +56,27 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
       Rel.leaf(alias, t, out.rows)
     }
 
-    def exec(p: Plan): Rel = p match {
-      case Lf(a) => scan(a)
-      case Jn(pl, pr) =>
-        val interL = exec(pl)
-        val lSet = pl.aliases.toSet
-        val rSet = pr.aliases.toSet
-        val connecting = joins.filter(j => (lSet(j.a) && rSet(j.b)) || (lSet(j.b) && rSet(j.a)))
-        val connectingMerged = merged.filter(mj =>
-          (lSet(mj.a) && rSet(mj.b)) || (lSet(mj.b) && rSet(mj.a)))
-        def pushFilter(alias: String, mask: RowMask): Unit =
-          scanFilters.getOrElseUpdate(alias, mutable.ArrayBuffer.empty) += mask
-
-        if (grain && cfg.sip) {
-          connecting.foreach { j =>
-            isRewritten(j).foreach {
-              case Rewrites.FkPk(fkAlias, ridCol, pkAlias, fkCol) =>
-                if (lSet(fkAlias)) pushFilter(pkAlias, interL.col(fkAlias, ridCol).mask(rowsOf(pkAlias)))
-                else if (cfg.reverseSemijoin) {
-                  cat.ridIndex(q.ref(fkAlias).table, fkCol).foreach { idx =>
-                    pushFilter(fkAlias, idx.mapToF(interL.col(pkAlias, "__rid").mask(idx.nKeys), rowsOf(fkAlias)))
-                  }
-                }
-              case fkfk: Rewrites.FkFk if cfg.reverseSemijoin =>
-                val (lAlias, lRid, rAlias, rFkCol) =
-                  if (lSet(fkfk.aAlias)) (fkfk.aAlias, fkfk.aRidCol, fkfk.bAlias, fkfk.bFkCol)
-                  else (fkfk.bAlias, fkfk.bRidCol, fkfk.aAlias, fkfk.aFkCol)
-                cat.ridIndex(q.ref(rAlias).table, rFkCol).foreach { idx =>
-                  pushFilter(rAlias, idx.mapToF(interL.col(lAlias, lRid).mask(idx.nKeys), rowsOf(rAlias)))
-                }
-              case _: Rewrites.FkFk => // index use disabled in this config
-            }
-          }
-          connectingMerged.foreach { mj =>
-            val (aAlias, bAlias, aFk) =
-              if (lSet(mj.a)) (mj.a, mj.b, mj.aFk) else (mj.b, mj.a, mj.bFk)
-            cat.ridIndex(mj.fTable, aFk).filter(_.extended).foreach { idx =>
-              pushFilter(bAlias, idx.mapToOther(interL.col(aAlias, "__rid").mask(idx.nKeys), rowsOf(bAlias)))
-            }
-          }
+    def exec(p: PhysPlan): Rel = p match {
+      case ScanLeaf(a) => scan(a)
+      case j: JoinNode =>
+        val interL = exec(j.build)
+        def colOf(rel: Rel, k: Key): ColRef = rel.col(k.alias, k.col)
+        j.steps.foreach { s =>
+          scanFilters.getOrElseUpdate(s.target, mutable.ArrayBuffer.empty) +=
+            s.mask(colOf(interL, s.from).mask, rowsOf(s.target))
+          m.ran(s)
         }
 
-        val interR = exec(pr)
+        val interR = exec(j.probe)
+        m.joined(j)
 
-        val (li, ri) = connectingMerged.headOption match {
-          case Some(mj) =>
-            val (aAlias, bAlias, aFk) =
-              if (lSet(mj.a)) (mj.a, mj.b, mj.aFk) else (mj.b, mj.a, mj.bFk)
-            val idx = cat.ridIndex(mj.fTable, aFk).filter(_.extended)
-              .getOrElse(sys.error(s"join merge needs extended index on ${mj.fTable}.$aFk"))
+        val (li, ri) = j.kind match {
+          case IdxMerge(from, idx, to, _) =>
             // SJoinIdxM: pairs come straight from the extended index.
-            val lRid = interL.col(aAlias, "__rid")
+            val lRid = colOf(interL, from)
             val lById = new LongMultiMap(lRid, interL.size)
-            val rById = new LongMultiMap(interR.col(bAlias, "__rid"), interR.size)
-            val conds = connecting.map { j =>
-              val ((la, lc), (ra, rc)) = keyCols(j, lSet)
-              Join.eq(interL.col(la, lc), interR.col(ra, rc))
-            }.toArray
+            val rById = new LongMultiMap(colOf(interR, to), interR.size)
+            val conds = j.keys.map(k => Join.eq(colOf(interL, k.build), colOf(interR, k.probe))).toArray
             val (ks, os) = idx.pairsFor(lRid.mask(idx.nKeys))
             val lb = new mutable.ArrayBuilder.ofInt
             val rb = new mutable.ArrayBuilder.ofInt
@@ -156,17 +95,16 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
               i += 1
             }
             (lb.result(), rb.result())
-          case None if connecting.isEmpty => Join.cross(interL.size, interR.size)
-          case None =>
-            val keys = connecting.map(keyCols(_, lSet))
+          case CrossJoin => Join.cross(interL.size, interR.size)
+          case HashJoin =>
             m.probes += interR.size
-            Join.hash(keys.map { case ((a, c), _) => interL.col(a, c) }, interL.size,
-              keys.map { case (_, (a, c)) => interR.col(a, c) }, interR.size)
+            Join.hash(j.keys.map(k => colOf(interL, k.build)), interL.size,
+              j.keys.map(k => colOf(interR, k.probe)), interR.size)
         }
         Rel.joined(interL, li, interR, ri)
     }
 
-    val spj = exec(plan)
+    val spj = exec(low.root)
     def colOf(oc: OutCol): ColRef = spj.col(oc.alias, oc.col)
     q.agg match {
       case None =>

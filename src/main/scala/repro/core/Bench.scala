@@ -3,11 +3,10 @@ package repro.core
 import java.nio.file.{Files, Paths, StandardOpenOption}
 import java.nio.charset.StandardCharsets
 
-/** Benchmark timing + reporting helpers shared by the bench suites and the
-  * spark-submit jobs. All timings are wall-clock over full materialization
-  * (collect), averaged after warm-up, mirroring the paper's "average of five
-  * successive runs after a warm-up" protocol (scaled down to keep the suite
-  * runnable in CI).
+/** Benchmark timing + reporting helpers shared by the bench suites. All
+  * timings are wall-clock over full materialization (collect), averaged
+  * after warm-up, mirroring the paper's "average of five successive runs
+  * after a warm-up" protocol (scaled down to keep the suite runnable in CI).
   */
 object Bench {
   /** Milliseconds for `body`, averaged over `runs` after `warmup` runs. */
@@ -34,9 +33,6 @@ object Bench {
 
   def percentileRow(name: String, xs: Seq[Double]): String =
     f"$name%-12s " + PercentilePoints.map(p => f"${percentile(xs, p)}%10.1f").mkString(" ")
-
-  def fmt(d: Double): String = f"$d%.1f"
-  def fmtX(d: Double): String = f"$d%.1fx"
 
   /** Append a report to results/<file> (created fresh per run) and stdout. */
   def report(file: String, content: String): Unit = {

@@ -58,18 +58,12 @@ object Bitmap {
     z
   }
 
-  /** Scanned tuples after zone skipping: surviving zones × zone size, capped
-    * at the table size — the metric behind Table 4's "Scan Reduction" row.
-    */
-  def scannedAfterZoneSkip(m: RowMask): Long =
-    math.min(m.numRows.toLong, zones(m).cardinality * ZoneSize.toLong)
-
   /** A serializable RID-membership predicate carrying the mask's words
-    * inline. Zone check is implicit: zone survival is a projection of the
-    * row bitmask, and the scanned-tuple accounting uses
-    * [[scannedAfterZoneSkip]]. On a real cluster the words would travel in
-    * a broadcast; in local mode shipping them with the closure is
-    * equivalent and avoids UDF↔broadcast serialization pitfalls.
+    * inline. Spark scans cannot skip zones, so a filtered scan's "scanned"
+    * count is the row mask's cardinality, the rows that survive ScanSJ. On
+    * a real cluster the words would travel in a broadcast; in local mode
+    * shipping them with the closure is equivalent and avoids UDF↔broadcast
+    * serialization pitfalls.
     */
   final class RidPred(numRows: Int, words: Array[Long])
       extends org.apache.spark.sql.api.java.UDF1[java.lang.Long, java.lang.Boolean] {

@@ -24,7 +24,7 @@ final class RidIndexCsr(
 
   def degree(key: Int): Int = offsets(key + 1) - offsets(key)
 
-  /** F-RIDs joining with key; used by index nested loop joins (graphsim). */
+  /** A copy of the F-RIDs joining with `key`, for inspecting the index. */
   def neighbors(key: Int): Array[Int] =
     java.util.Arrays.copyOfRange(fRids, offsets(key), offsets(key + 1))
 

@@ -2,6 +2,7 @@ package repro
 
 import org.apache.spark.sql.DataFrame
 import repro.columnar.Inter
+import repro.core._
 
 /** Cross-engine result canonicalization: rows → sorted Seq of string-vectors
   * using the same normalization as [[Oracle]] (doubles to 6 decimals, nulls
@@ -28,4 +29,20 @@ object Canon {
 
   def ofInter(in: Inter): Seq[Seq[String]] =
     of(in.schema, in.rows.toSeq.map(_.toSeq))
+}
+
+/** (sipFilters, reverseSemijoins, mergedJoins, ridJoins): how many SJoin,
+  * SJoinIdxR and SJoinIdxM steps and RID-keyed joins a query has.
+  */
+object StepCounts {
+  /** The steps an executor ran. */
+  def of(m: QueryMetrics): (Int, Int, Int, Int) =
+    (m.sipFilters, m.reverseSemijoins, m.mergedJoins, m.ridJoins)
+
+  /** Every step of a lowered plan, as the serial engine runs them all. */
+  def of(low: Lowered): (Int, Int, Int, Int) = {
+    val steps = low.joins.flatMap(_.steps)
+    (steps.count(_.isInstanceOf[Direct]), steps.count(_.isInstanceOf[MapToF]),
+      low.joins.count(_.kind.isInstanceOf[IdxMerge]), low.joins.map(_.keys.count(_.rewrite.isDefined)).sum)
+  }
 }

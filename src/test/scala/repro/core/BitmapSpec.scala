@@ -35,17 +35,6 @@ class BitmapSpec extends SparkSpec {
     assert(z.toArray.toSeq == Seq(0, 1, 5))
   }
 
-  test("scannedAfterZoneSkip = surviving zones × zone size, capped") {
-    val zs = Bitmap.ZoneSize
-    assert(Bitmap.scannedAfterZoneSkip(bm(10 * zs)(0)) == zs)
-    assert(Bitmap.scannedAfterZoneSkip(bm(10 * zs)(0, zs + 1)) == 2L * zs)
-    // same zone twice counts once
-    assert(Bitmap.scannedAfterZoneSkip(bm(10 * zs)(1, 2, 3)) == zs)
-    // capped at the table size
-    assert(Bitmap.scannedAfterZoneSkip(bm(10)(0)) == 10)
-    assert(Bitmap.scannedAfterZoneSkip(bm(100)()) == 0)
-  }
-
   test("fromColumn collects non-negative RIDs, skipping -1 (dangling)") {
     import spark.implicits._
     val df = Seq(0L, 5L, -1L, 5L, 77L).toDF("rid")

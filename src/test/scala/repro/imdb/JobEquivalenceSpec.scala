@@ -1,6 +1,6 @@
 package repro.imdb
 
-import repro.{Canon, Oracle, SparkSpec}
+import repro.{Canon, Oracle, SparkSpec, StepCounts}
 import repro.core._
 import repro.columnar.ColumnarExec
 import scala.collection.mutable
@@ -22,6 +22,49 @@ class JobEquivalenceSpec extends SparkSpec {
   private def expected(q: Query): Seq[Seq[String]] =
     expectedRows.getOrElseUpdate(q.name, Canon.ofDf(duck.run(q)._1))
 
+  // Spark-Grain's (sipFilters, reverseSemijoins, mergedJoins, ridJoins) per
+  // query: the lowered steps its sip-benefit gate lets through.
+  private val SparkGrainSteps = Map[String, (Int, Int, Int, Int)](
+    "1a" -> ((0, 0, 1, 2)),
+    "1b" -> ((0, 1, 1, 2)),
+    "2a" -> ((0, 0, 2, 0)),
+    "2b" -> ((0, 0, 2, 0)),
+    "3a" -> ((0, 1, 1, 1)),
+    "3b" -> ((0, 1, 1, 1)),
+    "4a" -> ((1, 1, 1, 2)),
+    "4b" -> ((1, 1, 1, 2)),
+    "5a" -> ((1, 2, 0, 3)),
+    "5b" -> ((1, 2, 0, 3)),
+    "6a" -> ((0, 0, 2, 0)),
+    "6b" -> ((0, 0, 2, 0)),
+    "7a" -> ((1, 1, 1, 4)),
+    "8a" -> ((2, 1, 1, 4)),
+    "9a" -> ((2, 2, 1, 4)),
+    "10a" -> ((3, 2, 0, 5)),
+    "11a" -> ((4, 2, 1, 6)),
+    "12a" -> ((4, 3, 0, 7)),
+    "13a" -> ((4, 4, 0, 8)),
+    "14a" -> ((2, 2, 1, 5)),
+    "15a" -> ((2, 2, 1, 4)),
+    "16a" -> ((0, 0, 3, 1)),
+    "17a" -> ((0, 0, 3, 0)),
+    "18a" -> ((3, 3, 0, 6)),
+    "19a" -> ((3, 3, 1, 6)),
+    "20a" -> ((2, 1, 2, 4)),
+    "21a" -> ((3, 2, 1, 7)),
+    "22a" -> ((4, 3, 1, 8)),
+    "23a" -> ((3, 2, 1, 6)),
+    "24a" -> ((3, 3, 2, 6)),
+    "25a" -> ((1, 1, 2, 4)),
+    "26a" -> ((1, 1, 3, 3)),
+    "27a" -> ((5, 3, 1, 9)),
+    "28a" -> ((6, 4, 1, 11)),
+    "29a" -> ((3, 3, 3, 6)),
+    "30a" -> ((3, 3, 2, 7)),
+    "31a" -> ((1, 2, 3, 4)),
+    "32a" -> ((1, 0, 1, 3)),
+    "33a" -> ((3, 2, 1, 6)))
+
   for (q <- JobQueries.queries) {
     test(s"JOB ${q.name}: spark-duck matches DuckDB oracle") {
       val (df, _) = duck.run(q)
@@ -31,16 +74,19 @@ class JobEquivalenceSpec extends SparkSpec {
     }
 
     test(s"JOB ${q.name}: spark-grain matches spark-duck") {
-      val got = Canon.ofDf(grain.run(q)._1)
-      assert(got == expected(q), s"grain mismatch on ${q.name}")
+      val (df, m) = grain.run(q)
+      assert(Canon.ofDf(df) == expected(q), s"grain mismatch on ${q.name}")
+      assert(StepCounts.of(m) == SparkGrainSteps(q.name), s"grain steps on ${q.name}")
     }
 
     for ((cfgName, cfg) <- Seq(
         "duck" -> GrainConfig.Duck, "rid-only" -> GrainConfig.RidOnly,
         "no-jm" -> GrainConfig.NoJm, "full" -> GrainConfig.Full)) {
       test(s"JOB ${q.name}: columnar[$cfgName] matches spark-duck") {
-        val (inter, _) = new ColumnarExec(store, cat, cfg).run(q)
+        val (inter, m) = new ColumnarExec(store, cat, cfg).run(q)
         assert(Canon.ofInter(inter) == expected(q), s"columnar[$cfgName] mismatch on ${q.name}")
+        assert(StepCounts.of(m) == StepCounts.of(GrainPlanner.lower(q, q.plan, cfg, cat)),
+          s"columnar[$cfgName] steps on ${q.name}")
       }
     }
 
