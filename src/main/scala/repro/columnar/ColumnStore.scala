@@ -15,8 +15,31 @@ final case class LongCol(a: Array[Long]) extends ColData {
 final case class DoubleCol(a: Array[Double]) extends ColData {
   def size: Int = a.length; def any(i: Int): Any = a(i)
 }
-final case class StringCol(a: Array[String]) extends ColData {
+/** A string column with its dictionary: `a(i) == dict(codes(i))`, and code
+  * -1 marks a null. Codes number the distinct values in order of first
+  * appearance, so a predicate can be tested once per distinct value.
+  */
+final case class StringCol(a: Array[String], codes: Array[Int], dict: Array[String]) extends ColData {
   def size: Int = a.length; def any(i: Int): Any = a(i)
+}
+object StringCol {
+  /** `a` with its dictionary, in one pass. */
+  def apply(a: Array[String]): StringCol = {
+    val ids = new java.util.HashMap[String, Integer]
+    val dict = mutable.ArrayBuffer[String]()
+    val codes = new Array[Int](a.length)
+    var i = 0
+    while (i < a.length) {
+      codes(i) = a(i) match {
+        case null => -1
+        case s =>
+          val c = ids.get(s)
+          if (c != null) c.intValue else { ids.put(s, dict.length); dict += s; dict.length - 1 }
+      }
+      i += 1
+    }
+    StringCol(a, codes, dict.toArray)
+  }
 }
 
 /** One in-memory columnar table: the serial engine's storage, loaded once
@@ -96,7 +119,7 @@ final class ColumnStore {
         case _ =>
           val a = new Array[String](n)
           var i = 0
-          while (i < n) { a(i) = Option(rows(i).get(ci)).map(_.toString).orNull; i += 1 }
+          while (i < n) { val v = rows(i).get(ci); if (v != null) a(i) = v.toString; i += 1 }
           StringCol(a)
       }
     }.toIndexedSeq

@@ -61,9 +61,13 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
       case j: JoinNode =>
         val interL = exec(j.build)
         def colOf(rel: Rel, k: Key): ColRef = rel.col(k.alias, k.col)
+        // A build-side key's row mask is built once per node: a merged
+        // join's MapToOther step and its index pairs share one.
+        val masks = mutable.Map[(Key, Int), RowMask]()
+        def maskOf(k: Key)(n: Int): RowMask = masks.getOrElseUpdate((k, n), colOf(interL, k).mask(n))
         j.steps.foreach { s =>
           scanFilters.getOrElseUpdate(s.target, mutable.ArrayBuffer.empty) +=
-            s.mask(colOf(interL, s.from).mask, rowsOf(s.target))
+            s.mask(maskOf(s.from), rowsOf(s.target))
           m.ran(s)
         }
 
@@ -73,11 +77,10 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
         val (li, ri) = j.kind match {
           case IdxMerge(from, idx, to, _) =>
             // SJoinIdxM: pairs come straight from the extended index.
-            val lRid = colOf(interL, from)
-            val lById = new LongMultiMap(lRid, interL.size)
-            val rById = new LongMultiMap(colOf(interR, to), interR.size)
+            val (ks, os) = idx.pairsFor(maskOf(from)(idx.nKeys))
+            val lById = new LongMultiMap(colOf(interL, from), interL.size, ks.length)
+            val rById = new LongMultiMap(colOf(interR, to), interR.size, ks.length)
             val conds = j.keys.map(k => Join.eq(colOf(interL, k.build), colOf(interR, k.probe))).toArray
-            val (ks, os) = idx.pairsFor(lRid.mask(idx.nKeys))
             val lb = new mutable.ArrayBuilder.ofInt
             val rb = new mutable.ArrayBuilder.ofInt
             m.indexLookups += ks.length
@@ -144,9 +147,9 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
   private def extreme(c: ColRef, max: Boolean): Any = {
     val ids = c.ids
     val (present, order): (Int => Boolean, (Int, Int) => Int) = c.data match {
-      case null | _: LongCol => (_ => true, (i, j) => java.lang.Long.compare(c.long(i), c.long(j)))
-      case DoubleCol(a)      => (_ => true, (i, j) => java.lang.Double.compare(a(ids(i)), a(ids(j))))
-      case StringCol(a)      => (i => a(ids(i)) != null, (i, j) => a(ids(i)).compareTo(a(ids(j))))
+      case null | _: LongCol  => (_ => true, (i, j) => java.lang.Long.compare(c.long(i), c.long(j)))
+      case DoubleCol(a)       => (_ => true, (i, j) => java.lang.Double.compare(a(ids(i)), a(ids(j))))
+      case StringCol(a, _, _) => (i => a(ids(i)) != null, (i, j) => a(ids(i)).compareTo(a(ids(j))))
     }
     var best = -1
     var i = 0

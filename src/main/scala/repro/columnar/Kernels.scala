@@ -11,6 +11,8 @@ import scala.collection.mutable
   * but `<>`), a null string never matches, in-lists compare exactly and only
   * against literals of the column's own type, and an incomparable
   * column/literal pair fails when a row is tested, not when it is compiled.
+  * A string test runs once per distinct value the scan meets: its results
+  * are memoized by dictionary code, in a memo owned by this compile.
   */
 object CompiledPred {
   def apply(p: Pred, t: TableData): Int => Boolean = p match {
@@ -22,9 +24,9 @@ object CompiledPred {
       case DoubleCol(a) =>
         val ys = ls.collect { case LD(y) => y }.toArray
         r => { val x = a(r); var i = 0; while (i < ys.length && ys(i) != x) i += 1; i < ys.length }
-      case StringCol(a) =>
+      case c: StringCol =>
         val ys = ls.collect { case LS(y) => y }.toSet
-        r => { val x = a(r); x != null && ys(x) }
+        byCode(c, ys)
     }
     case AndP(ps) =>
       val fs = ps.map(apply(_, t)).toArray
@@ -39,11 +41,25 @@ object CompiledPred {
     case (LongCol(a), LD(y))   => longVs(a, op, y)
     case (DoubleCol(a), LL(y)) => doubleVs(a, op, y.toDouble)
     case (DoubleCol(a), LD(y)) => doubleVs(a, op, y)
-    case (StringCol(a), LS(y)) =>
+    case (c: StringCol, LS(y)) =>
       val test = signTest(op)
-      r => { val x = a(r); x != null && test(x.compareTo(y)) }
-    case (StringCol(a), _)     => r => a(r) != null && incomparable(a(r), l)
+      byCode(c, x => test(x.compareTo(y)))
+    case (c: StringCol, _)     => byCode(c, incomparable(_, l))
     case _                     => r => incomparable(col.any(r), l)
+  }
+
+  /** `test` on each row's non-null value, run once per distinct value and
+    * then read back by code; a null (code -1) never matches. */
+  private def byCode(c: StringCol, test: String => Boolean): Int => Boolean = {
+    val (codes, dict) = (c.codes, c.dict)
+    val memo = new Array[Byte](dict.length) // 0 untested, 1 true, 2 false
+    r => {
+      val k = codes(r)
+      k >= 0 && (memo(k) match {
+        case 0 => val b = test(dict(k)); memo(k) = if (b) 1 else 2; b
+        case m => m == 1
+      })
+    }
   }
 
   private def incomparable(x: Any, l: Lit): Boolean = sys.error(s"incomparable $x vs $l")
@@ -152,8 +168,7 @@ final class Rel(val aliases: Array[String], val tables: Array[TableData],
     val k = aliases.indexOf(alias)
     require(k >= 0, s"no alias $alias in ${aliases.mkString(",")}")
     val t = tables(k)
-    if (c == "__rid") new ColRef(s"${t.name}.__rid", ids(k), null, t.numRows)
-    else new ColRef(s"${t.name}.$c", ids(k), t.col(c), -1)
+    new ColRef(s"${t.name}.$c", ids(k), if (c == "__rid") null else t.col(c))
   }
 }
 
@@ -178,12 +193,11 @@ object Rel {
   * (`__rid` or a materialized `rid_<fk>`) also gives the row bitmask of its
   * values ([[mask]]), which sip, SJoinIdxR and SJoinIdxM start from.
   *
-  * @param data     the base column, or null for `__rid`
-  * @param ridBound the table's row count when this is `__rid` (its values
-  *                 are dense in `[0, ridBound)`), else -1
+  * @param data the base column, or null for `__rid`
   */
-final class ColRef(val name: String, val ids: Array[Int], val data: ColData, val ridBound: Int) {
-  private val longs: Array[Long] = data match { case LongCol(a) => a; case _ => null }
+final class ColRef(val name: String, val ids: Array[Int], val data: ColData) {
+  /** The base long values, or null for `__rid` and non-long columns. */
+  val longs: Array[Long] = data match { case LongCol(a) => a; case _ => null }
   def isLong: Boolean = data == null || longs != null
   def long(i: Int): Long = if (data == null) ids(i).toLong else longs(ids(i))
   def any(i: Int): Any = if (data == null) ids(i).toLong else data.any(ids(i))
@@ -202,15 +216,30 @@ final class ColRef(val name: String, val ids: Array[Int], val data: ColData, val
 }
 
 /** Build side of a hash join on a long key: the build rows of each key,
-  * chained in build order. A `__rid` key is dense, so when the build side
-  * is a sizable share of its table it indexes a table-sized array directly;
-  * a smaller build, and any other key, goes through an open-addressing
-  * table sized to the build side.
+  * chained in build order. When the keys' range `[min, max]` fits in
+  * `maxSlots` slots, `heads` is indexed by `key - min`, so a probe is one
+  * unsigned range test and one load, as in a perfect hash table; a wider
+  * range (or one whose span overflows a long) goes through an
+  * open-addressing table sized to the build side. The same rule serves RID
+  * and value keys.
   */
-final class LongMultiMap(key: ColRef, n: Int) {
-  val dense: Boolean = key.ridBound >= 0 && n.toLong * LongMultiMap.DenseShare >= key.ridBound
-  private val cap =
-    if (dense) key.ridBound else Integer.highestOneBit(math.max(2 * n, 2) - 1) << 1
+final class LongMultiMap private[columnar] (key: ColRef, n: Int, maxSlots: Long) {
+  /** `n` build rows of `key` for a join that will probe about `probes`
+    * keys: range addressing when the range needs at most
+    * [[LongMultiMap.DenseShare]] slots per build or probe row. */
+  def this(key: ColRef, n: Int, probes: Int) =
+    this(key, n, LongMultiMap.DenseShare * (n.toLong + probes))
+
+  private val (lo, hi) = {
+    var (min, max) = (Long.MaxValue, Long.MinValue)
+    var i = 0
+    while (i < n) { val k = key.long(i); if (k < min) min = k; if (k > max) max = k; i += 1 }
+    (min, max)
+  }
+  /** True when `heads` is indexed by `key - min`. An empty build is, with no
+    * slots. `hi - lo` is negative when the span overflows. */
+  val dense: Boolean = n == 0 || hi - lo >= 0 && hi - lo < math.min(maxSlots, LongMultiMap.MaxSlots)
+  private val cap = if (dense) (hi - lo + 1).toInt else Integer.highestOneBit(math.max(2 * n, 2) - 1) << 1
   private val shift = 64 - Integer.numberOfTrailingZeros(cap)
   private val heads = { val a = new Array[Int](cap); java.util.Arrays.fill(a, -1); a }
   private val keys = if (dense) null else new Array[Long](cap)
@@ -221,7 +250,7 @@ final class LongMultiMap(key: ColRef, n: Int) {
     var i = n - 1
     while (i >= 0) {
       val k = key.long(i)
-      val s = if (dense) k.toInt else slot(k)
+      val s = if (dense) (k - lo).toInt else slot(k)
       if (!dense) keys(s) = k
       nexts(i) = heads(s)
       heads(s) = i
@@ -237,49 +266,70 @@ final class LongMultiMap(key: ColRef, n: Int) {
 
   /** The first build row holding `k`, or -1. */
   def first(k: Long): Int =
-    if (dense) { if (k >= 0 && k < cap) heads(k.toInt) else -1 }
+    if (dense) { val d = k - lo; if (java.lang.Long.compareUnsigned(d, cap) < 0) heads(d.toInt) else -1 }
     else heads(slot(k))
 
   /** The build row after `i` with the same key, or -1. */
   def next(i: Int): Int = nexts(i)
+
+  /** The (build, probe) row pairs with equal keys over the first `pn` rows
+    * of `probe`, in probe order and then build order. */
+  def pairs(probe: ColRef, pn: Int): (Array[Int], Array[Int]) = {
+    val li = new mutable.ArrayBuilder.ofInt
+    val ri = new mutable.ArrayBuilder.ofInt
+    val (ids, vals) = (probe.ids, probe.longs)
+    var r = 0
+    while (r < pn) {
+      var l = first(if (vals == null) ids(r).toLong else vals(ids(r)))
+      while (l >= 0) { li += l; ri += r; l = nexts(l) }
+      r += 1
+    }
+    (li.result(), ri.result())
+  }
 }
 
 object LongMultiMap {
-  /** A `__rid` build takes the direct-address path when it holds at least
-    * 1/DenseShare of its table's rows: filling a table-sized array then
-    * costs no more than a few hash slots per build row. */
+  /** Range addressing is taken while the key span needs at most this many
+    * `heads` slots per build or probe row: filling them then costs about
+    * what hashing the build rows would, and every probe is a direct load. */
   val DenseShare = 8
+  /** The largest `heads` array range addressing allocates. */
+  private val MaxSlots = Int.MaxValue - 8
 }
 
 object Join {
   /** Hash join: the (build, probe) index pairs whose keys are equal, in
     * probe order and then build order. Keys are compared as [[Pred.eval]]
-    * compares boxed values; long first keys are hashed unboxed.
+    * compares boxed values; long first keys go unboxed through a
+    * [[LongMultiMap]] sized for `pn` probes, and any further keys filter
+    * its pairs.
     */
   def hash(bKeys: Seq[ColRef], bn: Int, pKeys: Seq[ColRef], pn: Int): (Array[Int], Array[Int]) = {
     val (bk, pk) = (bKeys.head, pKeys.head)
-    val rest = bKeys.tail.zip(pKeys.tail).map { case (b, p) => eq(b, p) }.toArray
-    val li = new mutable.ArrayBuilder.ofInt
-    val ri = new mutable.ArrayBuilder.ofInt
-    def emit(l: Int, r: Int): Unit = {
-      var k = 0
-      while (k < rest.length && rest(k)(l, r)) k += 1
-      if (k == rest.length) { li += l; ri += r }
-    }
-    if (bk.isLong && pk.isLong) {
-      val ht = new LongMultiMap(bk, bn)
-      var r = 0
-      while (r < pn) {
-        var l = ht.first(pk.long(r))
-        while (l >= 0) { emit(l, r); l = ht.next(l) }
-        r += 1
+    val (li, ri) =
+      if (bk.isLong && pk.isLong) new LongMultiMap(bk, bn, pn).pairs(pk, pn)
+      else {
+        val ht = mutable.HashMap[Any, mutable.ArrayBuffer[Int]]()
+        (0 until bn).foreach(l => ht.getOrElseUpdate(bk.any(l), mutable.ArrayBuffer[Int]()) += l)
+        val li = new mutable.ArrayBuilder.ofInt
+        val ri = new mutable.ArrayBuilder.ofInt
+        (0 until pn).foreach(r => ht.get(pk.any(r)).foreach(_.foreach { l => li += l; ri += r }))
+        (li.result(), ri.result())
       }
-    } else {
-      val ht = mutable.HashMap[Any, mutable.ArrayBuffer[Int]]()
-      (0 until bn).foreach(l => ht.getOrElseUpdate(bk.any(l), mutable.ArrayBuffer[Int]()) += l)
-      (0 until pn).foreach(r => ht.get(pk.any(r)).foreach(_.foreach(emit(_, r))))
+    val rest = bKeys.tail.zip(pKeys.tail).map { case (b, p) => eq(b, p) }
+    if (rest.isEmpty) (li, ri) else where(li, ri, (l, r) => rest.forall(_(l, r)))
+  }
+
+  /** The pairs `(li(k), ri(k))` that satisfy `keep`, in order. */
+  private def where(li: Array[Int], ri: Array[Int], keep: (Int, Int) => Boolean): (Array[Int], Array[Int]) = {
+    val (lo, ro) = (new Array[Int](li.length), new Array[Int](ri.length))
+    var n = 0
+    var k = 0
+    while (k < li.length) {
+      if (keep(li(k), ri(k))) { lo(n) = li(k); ro(n) = ri(k); n += 1 }
+      k += 1
     }
-    (li.result(), ri.result())
+    (java.util.Arrays.copyOf(lo, n), java.util.Arrays.copyOf(ro, n))
   }
 
   /** Row-pair equality of two columns, with boxed-value semantics. */

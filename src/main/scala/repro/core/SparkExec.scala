@@ -103,21 +103,23 @@ final class SparkExec(cat: GrainCatalog, cfg: GrainConfig) {
         df
       }
 
-      def maskOf(df: DataFrame, colName: String, numRows: Int): RowMask = {
-        persisted += df.persist()
-        Bitmap.fromColumn(df, colName, numRows)
-      }
-
       def exec(p: PhysPlan): DataFrame = p match {
         case ScanLeaf(a) => scan(a)
         case j: JoinNode =>
           val dfL = exec(j.build)
+          // A build-side key's row mask is one Spark job per node: a merged
+          // join's MapToOther step and its index pairs share it.
+          val masks = mutable.Map[(Key, Int), RowMask]()
+          def maskOf(k: Key)(numRows: Int): RowMask = masks.getOrElseUpdate((k, numRows), {
+            persisted += dfL.persist()
+            Bitmap.fromColumn(dfL, k.name, numRows)
+          })
           // Sideways information passing from the build side before the
           // probe side is constructed; the merged join's mask is not gated.
           j.steps.foreach { s =>
             if (s.isInstanceOf[MapToOther] || sipWorthIt(j.build, s.target)) {
               scanFilters.getOrElseUpdate(s.target, mutable.ArrayBuffer.empty) +=
-                s.mask(maskOf(dfL, s.from.name, _), rowsOf(s.target))
+                s.mask(maskOf(s.from), rowsOf(s.target))
               m.ran(s)
             }
           }
@@ -129,7 +131,7 @@ final class SparkExec(cat: GrainCatalog, cfg: GrainConfig) {
           j.kind match {
             case IdxMerge(from, idx, to, _) =>
               // SJoinIdxM (§5.2): join through index pairs, F never scanned.
-              val (ks, os) = idx.pairsFor(maskOf(dfL, from.name, idx.nKeys))
+              val (ks, os) = idx.pairsFor(maskOf(from)(idx.nKeys))
               val spark = cat.spark
               import spark.implicits._
               val pairs = ks.zip(os).toSeq.toDF("__mk", "__mo")

@@ -1,6 +1,6 @@
 package repro.graphsim
 
-import repro.columnar.{ColumnStore, Inter, LongCol}
+import repro.columnar.{ColumnStore, CompiledPred, Inter, Scan}
 import repro.core._
 import scala.collection.mutable
 
@@ -43,11 +43,11 @@ final class GraphflowSim(store: ColumnStore) {
     val colData0 = cols0.map(t0.col)
     var inter = {
       val rows = mutable.ArrayBuffer[Array[Any]]()
-      val pred = q.ref(a0).pred
+      val pred = q.ref(a0).pred.map(CompiledPred(_, t0)).getOrElse(Scan.NoPred)
       var i = 0
       while (i < t0.numRows) {
         m.scanned += 1
-        if (pred.forall(p => Pred.eval(p, c => t0.col(c).any(i)))) {
+        if (pred(i)) {
           rows += colData0.map(_.any(i)).toArray
         }
         i += 1
@@ -73,7 +73,7 @@ final class GraphflowSim(store: ColumnStore) {
         val (oa, oc) = j.other(b)
         (inter.idx(pfx(oa, oc)), j.colOf(b))
       }
-      val pred = q.ref(b).pred
+      val pred = q.ref(b).pred.map(CompiledPred(_, tb)).getOrElse(Scan.NoPred)
       val rows = mutable.ArrayBuffer[Array[Any]]()
       inter.rows.foreach { row =>
         val key = row(keyIdx) match {
@@ -92,7 +92,7 @@ final class GraphflowSim(store: ColumnStore) {
             val okExtra = extraJoins.forall { case (ii, c) =>
               row(ii) == tb.col(c).any(ri)
             }
-            if (okExtra && pred.forall(p => Pred.eval(p, c => tb.col(c).any(ri)))) {
+            if (okExtra && pred(ri)) {
               rows += (row ++ colDataB.map(_.any(ri)))
             }
             k += 1

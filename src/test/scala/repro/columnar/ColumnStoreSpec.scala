@@ -19,6 +19,15 @@ class ColumnStoreSpec extends SparkSpec {
     assert(t.col("s").any(1) == "y")
   }
 
+  test("string columns carry their dictionary codes; a null's code is -1") {
+    val df = Seq(Some("x"), None, Some("y"), Some("x"), None).toDF("s")
+    val StringCol(a, codes, dict) = new ColumnStore().load("t", df).col("s")
+    assert(a.toSeq == Seq("x", null, "y", "x", null))
+    assert(codes.toSeq == Seq(0, -1, 1, 0, -1))
+    assert(dict.toSeq == Seq("x", "y"))
+    assert(a.indices.forall(i => if (a(i) == null) codes(i) == -1 else dict(codes(i)) == a(i)))
+  }
+
   test("integers are widened to long columns") {
     val df = Seq((1, 2), (3, 4)).toDF("a", "b")
     val t = new ColumnStore().load("t", df)

@@ -1,6 +1,7 @@
 package repro.columnar
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 import scala.util.Try
@@ -55,6 +56,40 @@ class KernelsSpec extends AnyFunSuite {
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(500),
       Prop.forAll(tree(3))(agrees))
     assert(res.passed, res.status.toString)
+  }
+
+  test("property: dictionary-coded string predicates match Pred.eval on repetitive columns with nulls") {
+    val values = Seq[String](null, "", "a", "ab", "b", "z")
+    val strLits = values.filter(_ != null).map(LS(_)) :+ LS("aa")
+    val gen = for {
+      col <- Gen.listOfN(200, Gen.frequency(3 -> Gen.const(null: String), 10 -> Gen.oneOf(values)))
+      p   <- Gen.oneOf(
+               Gen.zip(Gen.oneOf(ops), Gen.oneOf(strLits)).map { case (op, l) => Cmp("s", op, l) },
+               Gen.nonEmptyListOf(Gen.oneOf(strLits)).map(InList("s", _)))
+    } yield (col.toArray, p)
+    val prop = Prop.forAll(gen) { case (a, p) =>
+      val st = new TableData("st", IndexedSeq("s"), IndexedSeq(StringCol(a)), a.length)
+      val compiled = CompiledPred(p, st)
+      // every row twice: the second read comes from the memo
+      (a.indices ++ a.indices).forall(r => compiled(r) == Pred.eval(p, _ => a(r)))
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300)
+      .withInitialSeed(Seed(20230L)).withWorkers(1), prop)
+    assert(res.passed, res.status.toString)
+  }
+
+  test("two compiles on one string column keep separate memos") {
+    val eq = CompiledPred(Pred.eqS("s", "a"), t)
+    val ne = CompiledPred(Pred.neS("s", "a"), t)
+    for (r <- 0 until t.numRows; (f, p) <- Seq(eq -> Pred.eqS("s", "a"), ne -> Pred.neS("s", "a")))
+      assert(f(r) == Pred.eval(p, c => t.col(c).any(r)), s"$p at row $r")
+  }
+
+  test("an incomparable string literal fails when a non-null row is tested, not when compiled") {
+    val f = CompiledPred(Cmp("s", OpLt, LL(3)), t)
+    assert(!f(0) && !f(6)) // null rows
+    intercept[RuntimeException](f(2))
+    intercept[RuntimeException](f(2)) // a failed test leaves nothing in the memo
   }
 
   /** A row mask over the rows of `t`. */
@@ -118,24 +153,75 @@ class KernelsSpec extends AnyFunSuite {
 
   test("a dense __rid build key probes by direct address") {
     val rel = Rel.leaf("a", t, Array(6, 2, 2, 0))
-    val ht = new LongMultiMap(rel.col("a", "__rid"), rel.size)
+    val ht = new LongMultiMap(rel.col("a", "__rid"), rel.size, 0)
+    assert(ht.dense)
     assert(ht.first(2) == 1 && ht.next(1) == 2 && ht.next(2) == -1)
     assert(ht.first(6) == 0 && ht.first(5) == -1 && ht.first(-1) == -1 && ht.first(7) == -1)
   }
 
   test("a tiny __rid build over a large table hashes, with the dense path's pairs") {
-    val ids = Array(5, 2, 5)
-    val probe = new ColRef("p.l", Array.range(0, 6), LongCol(Array(5L, -1L, 2L, 7L, 5L, 1L << 40)), -1)
-    def pairs(ridBound: Int) = {
-      val build = new ColRef("a.__rid", ids, null, ridBound)
-      val (li, ri) = Join.hash(Seq(build), ids.length, Seq(probe), 6)
-      (new LongMultiMap(build, ids.length).dense, li.toSeq.zip(ri.toSeq))
-    }
-    val (small, dense) = pairs(8)
-    val (large, hashed) = pairs(1 << 24)
+    // The last build RID is far from the others and matches no probe key.
+    val ids = Array(5, 2, 5, 1 << 16)
+    val probe = new ColRef("p.l", Array.range(0, 6), LongCol(Array(5L, -1L, 2L, 7L, 5L, 1L << 40)))
+    val build = new ColRef("a.__rid", ids, null)
+    def pairs(ht: LongMultiMap) = { val (li, ri) = ht.pairs(probe, 6); (ht.dense, li.toSeq.zip(ri.toSeq)) }
+    val (small, dense) = pairs(new LongMultiMap(build, ids.length, (1L << 16) + 1))
+    val (large, hashed) = pairs(new LongMultiMap(build, ids.length, 6))
     assert(small && !large)
     assert(hashed == dense)
     assert(dense == Seq((0, 0), (2, 0), (1, 2), (0, 4), (2, 4)))
+    val (li, ri) = Join.hash(Seq(build), ids.length, Seq(probe), 6)
+    assert(li.toSeq.zip(ri.toSeq) == dense)
+  }
+
+  /** The pairs of a nested loop: probe order, then build order. */
+  private def loopPairs(b: Array[Long], p: Array[Long]): Seq[(Int, Int)] =
+    for (r <- p.indices; l <- b.indices if b(l) == p(r)) yield (l, r)
+
+  private def longRef(xs: Array[Long]) = new ColRef("x.k", Array.range(0, xs.length), LongCol(xs))
+
+  test("property: range-addressed and hashed builds give the nested loop's pairs") {
+    // Keys sit in a narrow window above a base, so the join's own budget
+    // picks range addressing unless the build holds both extremes.
+    val base = Gen.oneOf(Gen.const(0L), Gen.const(-1L), Gen.const(Long.MinValue),
+      Gen.const(Long.MaxValue - 40), Gen.const(1L << 40), Gen.choose(-1000L, 1000L))
+    val gen = for {
+      b       <- base
+      bOffs   <- Gen.listOf(Gen.choose(0L, 40L))
+      ends    <- Gen.frequency(4 -> false, 1 -> true)
+      pOffs   <- Gen.listOf(Gen.choose(-45L, 45L))
+      pExtras <- Gen.listOf(Gen.oneOf(-1L, 0L, Long.MinValue, Long.MaxValue))
+    } yield ((bOffs.map(b + _) ++ (if (ends) Seq(Long.MinValue, Long.MaxValue) else Nil)).toArray,
+      (pOffs.map(b + _) ++ pExtras).toArray)
+    val prop = Prop.forAll(gen) { case (bk, pk) =>
+      val (bRef, pRef) = (longRef(bk), longRef(pk))
+      val want = loopPairs(bk, pk)
+      val ranged = new LongMultiMap(bRef, bk.length, pk.length)
+      val hashed = new LongMultiMap(bRef, bk.length, 0L)
+      def got(ht: LongMultiMap) = { val (li, ri) = ht.pairs(pRef, pk.length); li.toSeq.zip(ri.toSeq) }
+      // the rule: at most DenseShare slots per build or probe row
+      val fits = bk.isEmpty ||
+        BigInt(bk.max) - BigInt(bk.min) + 1 <= LongMultiMap.DenseShare * (bk.length + pk.length)
+      ranged.dense == fits && (bk.isEmpty || !hashed.dense) &&
+        got(ranged) == want && got(hashed) == want &&
+        pk.indices.forall(r => ranged.first(pk(r)) == hashed.first(pk(r)))
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(500)
+      .withInitialSeed(Seed(20229L)).withWorkers(1), prop)
+    assert(res.passed, res.status.toString)
+  }
+
+  test("range addressing: below, above, an empty build and a build spanning every long") {
+    val ht = new LongMultiMap(longRef(Array(-3L, -1L, -3L, 4L)), 4, 1)
+    assert(ht.dense)
+    assert(Seq(-4L, -3L, -2L, -1L, 4L, 5L, Long.MinValue, Long.MaxValue).map(ht.first) ==
+      Seq(-1, 0, -1, 1, 3, -1, -1, -1))
+    assert(ht.next(0) == 2 && ht.next(2) == -1)
+    val empty = new LongMultiMap(longRef(Array.empty[Long]), 0, 10)
+    assert(empty.dense && empty.first(0L) == -1 && empty.first(Long.MinValue) == -1)
+    val ends = new LongMultiMap(longRef(Array(Long.MaxValue, 0L, Long.MinValue)), 3, Int.MaxValue)
+    assert(!ends.dense)
+    assert(Seq(Long.MinValue, 0L, Long.MaxValue, -1L).map(ends.first) == Seq(2, 1, 0, -1))
   }
 
   test("bitmask build fails loudly on a RID above Int.MaxValue, naming the column") {
@@ -154,7 +240,7 @@ class KernelsSpec extends AnyFunSuite {
         "only a bit past the end"  -> Array(1),
         "only bits in later zones" -> Array(5, 6),
         "a negative bit"           -> Array(7, 8))) {
-      val ref = new ColRef("t.rid_x", rows, col, -1)
+      val ref = new ColRef("t.rid_x", rows, col)
       val e = intercept[IllegalArgumentException](ref.mask(t.numRows))
       assert(e.getMessage.contains("t.rid_x"), name)
     }
