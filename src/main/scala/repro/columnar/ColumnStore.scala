@@ -2,6 +2,7 @@ package repro.columnar
 
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types._
+import repro.core.GrainCatalog
 import scala.collection.mutable
 
 /** A column of an in-memory table. Three runtime types mirror [[repro.core.Lit]]. */
@@ -52,23 +53,18 @@ final class TableData(val name: String, val colNames: IndexedSeq[String],
   def col(c: String): ColData = cols(byName.getOrElse(c, sys.error(s"$name: no column $c")))
   def has(c: String): Boolean = byName.contains(c)
 
-  /** value -> row ids; the adjacency-list-index analogue used for INLJ. */
-  private val valueIdx = mutable.HashMap[String, mutable.HashMap[Long, Array[Int]]]()
-  def index(c: String): mutable.HashMap[Long, Array[Int]] =
+  /** Column `c` over every row, in row order. */
+  def ref(c: String): ColRef = new ColRef(s"$name.$c", allRows, col(c))
+  private lazy val allRows = Array.range(0, numRows)
+
+  /** Long column `c`'s value -> row ids index, built once: GraphflowSim's
+    * adjacency-list-index analogue and the serial engine's primary-key
+    * point lookups. */
+  private val valueIdx = mutable.HashMap[String, LongMultiMap]()
+  def index(c: String): LongMultiMap =
     valueIdx.getOrElseUpdate(c, {
-      val lc = col(c) match {
-        case LongCol(a) => a
-        case _          => sys.error(s"$name.$c: value index needs a long column")
-      }
-      val tmp = mutable.HashMap[Long, mutable.ArrayBuffer[Int]]()
-      var i = 0
-      while (i < lc.length) {
-        tmp.getOrElseUpdate(lc(i), mutable.ArrayBuffer[Int]()) += i
-        i += 1
-      }
-      val out = mutable.HashMap[Long, Array[Int]]()
-      tmp.foreach { case (k, v) => out(k) = v.toArray }
-      out
+      require(col(c).isInstanceOf[LongCol], s"$name.$c: value index needs a long column")
+      new LongMultiMap(ref(c), numRows, numRows)
     })
 }
 
@@ -139,5 +135,14 @@ final class ColumnStore {
       out(rid.toInt) = r
     }
     out
+  }
+}
+
+object ColumnStore {
+  /** Every extended table of a frozen catalog, loaded. */
+  def of(cat: GrainCatalog): ColumnStore = {
+    val st = new ColumnStore
+    cat.tableNames.foreach(n => st.load(n, cat.ext(n)))
+    st
   }
 }

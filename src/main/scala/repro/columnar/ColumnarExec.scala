@@ -48,7 +48,7 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
           // Primary-key point lookup — what lets DuckDB/GRainDB beat the
           // GDBMS's sequential node scan on IS1/IS4-style queries (§7.2.2).
           m.indexLookups += 1
-          Scan.rows(t.index(cat.pk(tname).get).getOrElse(pointKey.get, Array.empty[Int]), test)
+          Scan.rows(t.index(cat.pk(tname).get).rowsOf(pointKey.get), test)
         } else if (filters.isEmpty) Scan.all(t.numRows, test)
         else Scan.setBits(t.numRows, filters.reduce(_ and _), test)
       m.scanned(alias) = out.scanned
@@ -110,18 +110,7 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
     val spj = exec(low.root)
     def colOf(oc: OutCol): ColRef = spj.col(oc.alias, oc.col)
     q.agg match {
-      case None =>
-        val cols = q.out.map(colOf).toArray
-        val rows = new mutable.ArrayBuffer[Array[Any]](spj.size)
-        var i = 0
-        while (i < spj.size) {
-          val row = new Array[Any](cols.length)
-          var c = 0
-          while (c < cols.length) { row(c) = cols(c).any(i); c += 1 }
-          rows += row
-          i += 1
-        }
-        (new Inter(q.out.map(_.name).toIndexedSeq, rows), m)
+      case None => (Rel.project(spj, q.out), m)
       case Some(a) =>
         // Global aggregates only (what JOB-lite needs); grouped aggregates
         // run on the Spark engine.

@@ -181,6 +181,25 @@ object Rel {
     new Rel(l.aliases ++ r.aliases, l.tables ++ r.tables,
       l.ids.map(gather(_, li)) ++ r.ids.map(gather(_, ri)), li.length)
 
+  /** The tuples `l(li(k))` extended by row `rows(k)` of `t` as `alias`. */
+  def extended(l: Rel, li: Array[Int], alias: String, t: TableData, rows: Array[Int]): Rel =
+    new Rel(l.aliases :+ alias, l.tables :+ t, l.ids.map(gather(_, li)) :+ rows, li.length)
+
+  /** The output columns `out` of every tuple, boxed into result rows. */
+  def project(rel: Rel, out: Seq[OutCol]): Inter = {
+    val cols = out.map(oc => rel.col(oc.alias, oc.col)).toArray
+    val rows = new mutable.ArrayBuffer[Array[Any]](rel.size)
+    var i = 0
+    while (i < rel.size) {
+      val row = new Array[Any](cols.length)
+      var c = 0
+      while (c < cols.length) { row(c) = cols(c).any(i); c += 1 }
+      rows += row
+      i += 1
+    }
+    new Inter(out.map(_.name).toIndexedSeq, rows)
+  }
+
   private def gather(ids: Array[Int], at: Array[Int]): Array[Int] = {
     val out = new Array[Int](at.length)
     var i = 0
@@ -271,6 +290,14 @@ final class LongMultiMap private[columnar] (key: ColRef, n: Int, maxSlots: Long)
 
   /** The build row after `i` with the same key, or -1. */
   def next(i: Int): Int = nexts(i)
+
+  /** Every build row holding `k`, ascending. */
+  def rowsOf(k: Long): Array[Int] = {
+    val out = new mutable.ArrayBuilder.ofInt
+    var i = first(k)
+    while (i >= 0) { out += i; i = nexts(i) }
+    out.result()
+  }
 
   /** The (build, probe) row pairs with equal keys over the first `pn` rows
     * of `probe`, in probe order and then build order. */

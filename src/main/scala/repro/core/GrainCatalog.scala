@@ -220,12 +220,6 @@ final class GrainCatalog(val spark: SparkSession) {
     predefined.find(pj =>
       pj.fTable == fTable && pj.fkCol == fkCol && pj.pTable == pTable && pj.pkCol == pkCol)
 
-  /** The *other* predefined join on a two-FK relationship table, if any —
-    * what makes the extended index (§5.2) possible.
-    */
-  def otherPredef(pj: PredefJoin): Option[PredefJoin] =
-    predefined.find(o => o.fTable == pj.fTable && o.fkCol != pj.fkCol)
-
   /** Build the (possibly extended) RID index on (fTable, fkCol) (§5): a
     * counting sort of the materialized `rid_<fk>` column, kept in memory in
     * CSR form as the paper does. Positions are F RIDs, so each key's F-RID
@@ -250,4 +244,23 @@ final class GrainCatalog(val spark: SparkSession) {
 
   def ridIndex(fTable: String, fkCol: String): Option[RidIndexCsr] =
     ridIndices.get((fTable, fkCol))
+}
+
+object GrainCatalog {
+  /** A ready catalog over `tables`: each registered with its primary key,
+    * every join in `predefs` predefined, frozen, and RID-indexed. The
+    * relationship tables of `extendedPairs` (table, fk, other fk) get the
+    * extended index in both directions (§5.2); every other predefined join
+    * gets a plain one.
+    */
+  def build(spark: SparkSession, tables: Seq[(String, DataFrame)], pks: Map[String, Seq[String]],
+            predefs: Seq[PredefJoin], extendedPairs: Seq[(String, String, String)]): GrainCatalog = {
+    val cat = new GrainCatalog(spark)
+    tables.foreach { case (name, df) => cat.register(name, df, pks(name)) }
+    predefs.foreach(cat.predefine)
+    cat.freeze()
+    val ext = extendedPairs.flatMap { case (t, a, b) => Seq((t, a) -> b, (t, b) -> a) }.toMap
+    predefs.foreach(pj => cat.buildRidIndex(pj.fTable, pj.fkCol, ext.get((pj.fTable, pj.fkCol))))
+    cat
+  }
 }

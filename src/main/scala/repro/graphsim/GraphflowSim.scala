@@ -1,6 +1,6 @@
 package repro.graphsim
 
-import repro.columnar.{ColumnStore, CompiledPred, Inter, Scan}
+import repro.columnar.{ColumnStore, CompiledPred, Inter, Join, Rel, Scan, TableData}
 import repro.core._
 import scala.collection.mutable
 
@@ -13,8 +13,10 @@ final class GfMetrics {
 }
 
 /** A GraphflowDB-style executor: serial, left-deep plans whose join operator
-  * is EXTEND — an index nested loop join into a value→row-ids index (the
-  * adjacency-list index analogue built by [[ColumnStore.TableData.index]]).
+  * is EXTEND — an index nested loop join into a value -> row ids index (the
+  * adjacency-list index analogue, [[repro.columnar.TableData.index]]). It
+  * runs on the same substrate as [[repro.columnar.ColumnarExec]]: compiled
+  * predicates on row ids, [[Rel]] intermediates and one shared projection.
   *
   * Deliberately reproduced GDBMS behaviours (per §7.2.2/§7.3.2):
   *   - the first table is always *sequentially scanned* and filtered, even
@@ -33,27 +35,15 @@ final class GraphflowSim(store: ColumnStore) {
     require(order.toSet == q.refs.map(_.alias).toSet, s"${q.name}: bad INLJ order")
     require(q.agg.isEmpty, "graphsim runs SPJ queries only (SNB-M)")
 
-    def pfx(alias: String, c: String) = s"${alias}_$c"
-    def needed(alias: String): IndexedSeq[String] = q.neededCols(alias).toIndexedSeq
+    def predOf(alias: String, t: TableData): Int => Boolean =
+      q.ref(alias).pred.map(CompiledPred(_, t)).getOrElse(Scan.NoPred)
 
     // Initial sequential scan of the first table.
     val a0 = order.head
     val t0 = store(q.ref(a0).table)
-    val cols0 = needed(a0)
-    val colData0 = cols0.map(t0.col)
-    var inter = {
-      val rows = mutable.ArrayBuffer[Array[Any]]()
-      val pred = q.ref(a0).pred.map(CompiledPred(_, t0)).getOrElse(Scan.NoPred)
-      var i = 0
-      while (i < t0.numRows) {
-        m.scanned += 1
-        if (pred(i)) {
-          rows += colData0.map(_.any(i)).toArray
-        }
-        i += 1
-      }
-      new Inter(cols0.map(pfx(a0, _)), rows)
-    }
+    val first = Scan.all(t0.numRows, predOf(a0, t0))
+    m.scanned += first.scanned
+    var rel = Rel.leaf(a0, t0, first.rows)
 
     // EXTEND one alias at a time.
     var bound = Set(a0)
@@ -64,46 +54,35 @@ final class GraphflowSim(store: ColumnStore) {
       require(connecting.nonEmpty, s"${q.name}: INLJ order disconnects at $b")
       val main = connecting.head
       val (aAlias, aCol) = main.other(b)
-      val bCol = main.colOf(b)
-      val idx = tb.index(bCol)
-      val keyIdx = inter.idx(pfx(aAlias, aCol))
-      val colsB = needed(b)
-      val colDataB = colsB.map(tb.col)
+      val idx = tb.index(main.colOf(b))
+      val key = rel.col(aAlias, aCol)
+      require(key.isLong, s"${q.name}: INLJ key ${key.name} must be long")
+      val nProps = q.neededCols(b).size
       val extraJoins = connecting.tail.map { j =>
         val (oa, oc) = j.other(b)
-        (inter.idx(pfx(oa, oc)), j.colOf(b))
-      }
-      val pred = q.ref(b).pred.map(CompiledPred(_, tb)).getOrElse(Scan.NoPred)
-      val rows = mutable.ArrayBuffer[Array[Any]]()
-      inter.rows.foreach { row =>
-        val key = row(keyIdx) match {
-          case l: Long => l
-          case x       => sys.error(s"${q.name}: INLJ key must be long, got $x")
-        }
+        Join.eq(rel.col(oa, oc), tb.ref(j.colOf(b)))
+      }.toArray
+      val pred = predOf(b, tb)
+      val li = new mutable.ArrayBuilder.ofInt
+      val ri = new mutable.ArrayBuilder.ofInt
+      var i = 0
+      while (i < rel.size) {
         m.indexLookups += 1
-        idx.get(key).foreach { matches =>
-          var k = 0
-          while (k < matches.length) {
-            val ri = matches(k)
-            m.extendedTuples += 1
-            // Property fetch happens after the join (random access), and only
-            // then are predicates on the extended table evaluated.
-            m.propertyReads += colsB.length
-            val okExtra = extraJoins.forall { case (ii, c) =>
-              row(ii) == tb.col(c).any(ri)
-            }
-            if (okExtra && pred(ri)) {
-              rows += (row ++ colDataB.map(_.any(ri)))
-            }
-            k += 1
-          }
+        var r = idx.first(key.long(i))
+        while (r >= 0) {
+          m.extendedTuples += 1
+          // Property fetch happens after the join (random access), and only
+          // then are predicates on the extended table evaluated.
+          m.propertyReads += nProps
+          if (extraJoins.forall(_(i, r)) && pred(r)) { li += i; ri += r }
+          r = idx.next(r)
         }
+        i += 1
       }
-      inter = new Inter(inter.schema ++ colsB.map(pfx(b, _)), rows)
+      rel = Rel.extended(rel, li.result(), b, tb, ri.result())
       bound += b
     }
 
-    val outIdx = q.out.map(oc => inter.idx(oc.name)).toArray
-    (new Inter(q.out.map(_.name).toIndexedSeq, inter.rows.map(r => outIdx.map(r))), m)
+    (Rel.project(rel, q.out), m)
   }
 }

@@ -224,24 +224,9 @@ object ImdbData {
     ("movie_link", "movie_id", "linked_movie_id"),
     ("complete_cast", "movie_id", "subject_id"))
 
-  def catalog(spark: SparkSession, s: Double, seed: Long = 11): GrainCatalog = {
-    val cat = new GrainCatalog(spark)
-    val ts = tables(spark, s, seed)
-    ts.foreach { case (name, df) => cat.register(name, df, pks(name)) }
-    predefs.foreach(cat.predefine)
-    cat.freeze()
-    val extMap = extendedPairs.flatMap { case (t, a, b) =>
-      Seq((t, a) -> b, (t, b) -> a)
-    }.toMap
-    predefs.foreach(pj =>
-      cat.buildRidIndex(pj.fTable, pj.fkCol, extMap.get((pj.fTable, pj.fkCol))))
-    cat
-  }
+  def catalog(spark: SparkSession, s: Double, seed: Long = 11): GrainCatalog =
+    GrainCatalog.build(spark, tables(spark, s, seed).toSeq, pks, predefs, extendedPairs)
 
   /** Serial-engine column store over the extended tables. */
-  def store(cat: GrainCatalog): ColumnStore = {
-    val st = new ColumnStore
-    cat.tableNames.foreach(n => st.load(n, cat.ext(n)))
-    st
-  }
+  def store(cat: GrainCatalog): ColumnStore = ColumnStore.of(cat)
 }

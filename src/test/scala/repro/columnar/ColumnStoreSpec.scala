@@ -46,9 +46,9 @@ class ColumnStoreSpec extends SparkSpec {
     val df = Seq(5L, 7L, 5L, 9L).toDF("k")
     val t = new ColumnStore().load("t", df)
     val idx = t.index("k")
-    assert(idx(5L).sorted.toSeq == Seq(0, 2))
-    assert(idx(7L).toSeq == Seq(1))
-    assert(idx.get(8L).isEmpty)
+    assert(idx.rowsOf(5L).toSeq == Seq(0, 2))
+    assert(idx.rowsOf(7L).toSeq == Seq(1))
+    assert(idx.rowsOf(8L).isEmpty)
   }
 
   test("unknown column access fails loudly") {

@@ -224,6 +224,25 @@ class KernelsSpec extends AnyFunSuite {
     assert(Seq(Long.MinValue, 0L, Long.MaxValue, -1L).map(ends.first) == Seq(2, 1, 0, -1))
   }
 
+  test("an EXTEND-style value-index lookup: keys outside the build's range and -1") {
+    // a narrow FK column (range-addressed) and `t.l`, whose span hashes
+    val fk = new TableData("e", IndexedSeq("k"), IndexedSeq(LongCol(Array(3L, 1L, 3L, 0L, 1L, 3L))), 6)
+    val (ranged, hashed) = (fk.index("k"), t.index("l"))
+    assert(ranged.dense && !hashed.dense)
+    assert(fk.index("k") eq ranged) // built once per column
+    def extend(idx: LongMultiMap, k: Long): Seq[Int] =
+      Iterator.iterate(idx.first(k))(idx.next).takeWhile(_ >= 0).toSeq
+    for (k <- Seq(-1L, 0L, 3L, 4L, 1000L, Long.MinValue, Long.MaxValue))
+      assert(extend(ranged, k) == ranged.rowsOf(k).toSeq, s"key $k")
+    assert(ranged.rowsOf(3L).toSeq == Seq(0, 2, 5))
+    assert(Seq(-1L, 4L, 1000L, Long.MinValue, Long.MaxValue).forall(ranged.rowsOf(_).isEmpty))
+    // -1 is an ordinary key: it finds the build rows that hold -1, and only those
+    assert(hashed.rowsOf(-1L).toSeq == Seq(0) && extend(hashed, -1L) == Seq(0))
+    assert(hashed.rowsOf(2L).toSeq == Seq(2, 5))
+    assert(Seq(1L, 3L, Long.MinValue).forall(k => hashed.first(k) == -1))
+    intercept[IllegalArgumentException](t.index("s"))
+  }
+
   test("bitmask build fails loudly on a RID above Int.MaxValue, naming the column") {
     val rel = Rel.leaf("a", t, Array(0, 1, 2))
     assert(rel.col("a", "l").mask(t.numRows).toArray.toSeq == Seq(0, 2)) // -1 (dangling) skipped

@@ -55,6 +55,37 @@ class SnbEquivalenceSpec extends SparkSpec {
     "MUTUAL-1" -> ((0, 0, 1, 2)),
     "MUTUAL-2" -> ((0, 1, 1, 2)))
 
+  // GraphflowSim's (scanned, indexLookups, extendedTuples, propertyReads)
+  // per query: its access pattern, which no substrate change may alter.
+  private val GraphsimAccess = Map[String, (Long, Long, Long, Long)](
+    "IS1" -> ((60L, 1L, 1L, 2L)),
+    "IS2" -> ((60L, 11L, 13L, 43L)),
+    "IS3" -> ((60L, 21L, 40L, 120L)),
+    "IS4" -> ((1800L, 0L, 0L, 0L)),
+    "IS5" -> ((1800L, 1L, 1L, 3L)),
+    "IS6" -> ((1800L, 1L, 0L, 0L)),
+    "IS7" -> ((1800L, 1L, 0L, 0L)),
+    "IC1-1" -> ((60L, 21L, 40L, 240L)),
+    "IC1-2" -> ((60L, 416L, 810L, 4780L)),
+    "IC1-3" -> ((60L, 8189L, 15950L, 93996L)),
+    "IC2" -> ((60L, 41L, 1224L, 4856L)),
+    "IC3-1" -> ((60L, 802L, 2434L, 6549L)),
+    "IC3-2" -> ((60L, 13622L, 41764L, 112572L)),
+    "IC4" -> ((60L, 8561L, 18220L, 43340L)),
+    "IC5-1" -> ((60L, 93L, 574L, 806L)),
+    "IC5-2" -> ((60L, 1841L, 12856L, 17774L)),
+    "IC6-1" -> ((60L, 1238L, 2002L, 3984L)),
+    "IC6-2" -> ((60L, 24975L, 40567L, 80739L)),
+    "IC7" -> ((60L, 19L, 29L, 87L)),
+    "IC8" -> ((60L, 13L, 19L, 66L)),
+    "IC9-1" -> ((60L, 41L, 1224L, 2468L)),
+    "IC9-2" -> ((60L, 811L, 22655L, 45705L)),
+    "IC11-1" -> ((60L, 69L, 89L, 253L)),
+    "IC11-2" -> ((60L, 1329L, 1754L, 4983L)),
+    "IC12" -> ((60L, 5810L, 7119L, 13603L)),
+    "MUTUAL-1" -> ((60L, 2460L, 25819L, 51638L)),
+    "MUTUAL-2" -> ((60L, 2460L, 25819L, 51638L)))
+
   // MergeShapes: two merge-eligible relationship leaves per join node,
   // which join merging must fall back on instead of failing.
   for (q <- SnbQueries.queries(LdbcData.scale(Sf)) ++ MergeShapes.queries) {
@@ -88,8 +119,10 @@ class SnbEquivalenceSpec extends SparkSpec {
     }
 
     test(s"${q.name}: graphsim matches spark-duck") {
-      val (inter, _) = new GraphflowSim(store).run(q)
+      val (inter, m) = new GraphflowSim(store).run(q)
       assert(Canon.ofInter(inter) == expected(q), s"graphsim mismatch on ${q.name}")
+      assert((m.scanned, m.indexLookups, m.extendedTuples, m.propertyReads) == GraphsimAccess(q.name),
+        s"graphsim access pattern on ${q.name}")
     }
   }
 }
