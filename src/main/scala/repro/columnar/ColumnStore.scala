@@ -17,17 +17,28 @@ final case class DoubleCol(a: Array[Double]) extends ColData {
   def size: Int = a.length; def any(i: Int): Any = a(i)
 }
 /** A string column with its dictionary: `a(i) == dict(codes(i))`, and code
-  * -1 marks a null. Codes number the distinct values in order of first
-  * appearance, so a predicate can be tested once per distinct value.
+  * -1 marks a null. The dictionary is sorted by `String.compareTo`, so codes
+  * keep the values' order (an order-preserving dictionary): a comparison
+  * with a literal is a code range, and MIN/MAX reduce over codes.
   */
 final case class StringCol(a: Array[String], codes: Array[Int], dict: Array[String]) extends ColData {
   def size: Int = a.length; def any(i: Int): Any = a(i)
+
+  /** The first code whose value is at least `y` (`dict.length` if none). */
+  def lowerBound(y: String): Int = {
+    val i = java.util.Arrays.binarySearch(dict.asInstanceOf[Array[AnyRef]], y)
+    if (i >= 0) i else -i - 1
+  }
+
+  /** The code of `y`, or -1 when no row holds it. */
+  def code(y: String): Int = { val i = lowerBound(y); if (i < dict.length && dict(i) == y) i else -1 }
 }
 object StringCol {
-  /** `a` with its dictionary, in one pass. */
+  /** `a` with its sorted dictionary: codes are numbered in order of first
+    * appearance in one hashing pass, then renumbered by rank. */
   def apply(a: Array[String]): StringCol = {
     val ids = new java.util.HashMap[String, Integer]
-    val dict = mutable.ArrayBuffer[String]()
+    val seen = mutable.ArrayBuffer[String]()
     val codes = new Array[Int](a.length)
     var i = 0
     while (i < a.length) {
@@ -35,11 +46,18 @@ object StringCol {
         case null => -1
         case s =>
           val c = ids.get(s)
-          if (c != null) c.intValue else { ids.put(s, dict.length); dict += s; dict.length - 1 }
+          if (c != null) c.intValue else { ids.put(s, seen.length); seen += s; seen.length - 1 }
       }
       i += 1
     }
-    StringCol(a, codes, dict.toArray)
+    val dict = seen.toArray
+    java.util.Arrays.sort(dict.asInstanceOf[Array[AnyRef]])
+    val rank = new Array[Int](dict.length)
+    i = 0
+    while (i < dict.length) { rank(ids.get(dict(i)).intValue) = i; i += 1 }
+    i = 0
+    while (i < codes.length) { if (codes(i) >= 0) codes(i) = rank(codes(i)); i += 1 }
+    StringCol(a, codes, dict)
   }
 }
 

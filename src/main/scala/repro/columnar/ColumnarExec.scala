@@ -21,11 +21,11 @@ final class Inter(val schema: IndexedSeq[String], val rows: mutable.ArrayBuffer[
   * bitmask, so skipped zones are never touched and "scanned" counts the
   * rows actually read.
   *
-  * Execution is late-materialized: scans test compiled predicates on row
-  * ids, and every intermediate result is a [[Rel]] of row-id vectors, one
-  * per alias. Column values are read from the base arrays only for join
-  * keys, bitmasks and the final projection or aggregate, which is boxed
-  * into an [[Inter]] once.
+  * Execution is late-materialized: scans run compiled [[Filter]]s over
+  * vectors of row ids, and every intermediate result is a [[Rel]] of
+  * row-id vectors, one per alias. Column values are read from the base
+  * arrays only for join keys, bitmasks and the final projection or
+  * aggregate, which is boxed into an [[Inter]] once.
   */
 final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig) {
   def run(q: Query, planOverride: Option[Plan] = None): (Inter, QueryMetrics) = {
@@ -40,7 +40,7 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
       val tname = q.ref(alias).table
       val t = store(tname)
       val pred = q.ref(alias).pred
-      val test = pred.map(CompiledPred(_, t)).getOrElse(Scan.NoPred)
+      val test = pred.map(Filter(_, t)).getOrElse(Scan.NoPred)
       val filters = scanFilters.getOrElse(alias, mutable.ArrayBuffer.empty)
       val pointKey: Option[Long] = pred.flatMap(pointLookupKey(_, cat.pk(tname)))
       val out =
@@ -131,22 +131,34 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
 
   /** MIN or MAX of a column in one pass, null when no value is present. Doubles
     * compare with `java.lang.Double.compare` (NaN above everything), the order
-    * `sorted` gives them; null strings are not values.
+    * `sorted` gives them; null strings are not values, and a string column
+    * reduces over its order-preserving codes, reading one value at the end.
     */
   private def extreme(c: ColRef, max: Boolean): Any = {
     val ids = c.ids
-    val (present, order): (Int => Boolean, (Int, Int) => Int) = c.data match {
-      case null | _: LongCol  => (_ => true, (i, j) => java.lang.Long.compare(c.long(i), c.long(j)))
-      case DoubleCol(a)       => (_ => true, (i, j) => java.lang.Double.compare(a(ids(i)), a(ids(j))))
-      case StringCol(a, _, _) => (i => a(ids(i)) != null, (i, j) => a(ids(i)).compareTo(a(ids(j))))
+    c.data match {
+      case StringCol(_, codes, dict) =>
+        var best = -1
+        var i = 0
+        while (i < ids.length) {
+          val k = codes(ids(i))
+          if (k >= 0 && (best < 0 || (if (max) k > best else k < best))) best = k
+          i += 1
+        }
+        if (best < 0) null else dict(best)
+      case data =>
+        val order: (Int, Int) => Int = data match {
+          case DoubleCol(a) => (i, j) => java.lang.Double.compare(a(ids(i)), a(ids(j)))
+          case _            => (i, j) => java.lang.Long.compare(c.long(i), c.long(j))
+        }
+        var best = -1
+        var i = 0
+        while (i < ids.length) {
+          if (best < 0 || { val s = order(i, best); if (max) s > 0 else s < 0 }) best = i
+          i += 1
+        }
+        if (best < 0) null else c.any(best)
     }
-    var best = -1
-    var i = 0
-    while (i < ids.length) {
-      if (present(i) && (best < 0 || { val s = order(i, best); if (max) s > 0 else s < 0 })) best = i
-      i += 1
-    }
-    if (best < 0) null else c.any(best)
   }
 
   /** Top-level equality on the table's PK (conjuncts allowed). */

@@ -3,132 +3,38 @@ package repro.columnar
 import repro.core._
 import scala.collection.mutable
 
-/** A predicate compiled against one table into a test on row ids. The
-  * columns it reads are resolved to their typed arrays once.
-  *
-  * Semantics are exactly those of [[Pred.eval]] over `ColData.any`: numeric
-  * comparisons go through `toDouble` (IEEE, so NaN fails every comparison
-  * but `<>`), a null string never matches, in-lists compare exactly and only
-  * against literals of the column's own type, and an incomparable
-  * column/literal pair fails when a row is tested, not when it is compiled.
-  * A string test runs once per distinct value the scan meets: its results
-  * are memoized by dictionary code, in a memo owned by this compile.
-  */
-object CompiledPred {
-  def apply(p: Pred, t: TableData): Int => Boolean = p match {
-    case Cmp(c, op, l) => cmp(t.col(c), op, l)
-    case InList(c, ls) => t.col(c) match {
-      case LongCol(a) =>
-        val ys = ls.collect { case LL(y) => y }.toArray
-        r => { val x = a(r); var i = 0; while (i < ys.length && ys(i) != x) i += 1; i < ys.length }
-      case DoubleCol(a) =>
-        val ys = ls.collect { case LD(y) => y }.toArray
-        r => { val x = a(r); var i = 0; while (i < ys.length && ys(i) != x) i += 1; i < ys.length }
-      case c: StringCol =>
-        val ys = ls.collect { case LS(y) => y }.toSet
-        byCode(c, ys)
-    }
-    case AndP(ps) =>
-      val fs = ps.map(apply(_, t)).toArray
-      r => { var i = 0; while (i < fs.length && fs(i)(r)) i += 1; i == fs.length }
-    case OrP(ps) =>
-      val fs = ps.map(apply(_, t)).toArray
-      r => { var i = 0; while (i < fs.length && !fs(i)(r)) i += 1; i < fs.length }
-  }
-
-  private def cmp(col: ColData, op: Op, l: Lit): Int => Boolean = (col, l) match {
-    case (LongCol(a), LL(y))   => longVs(a, op, y.toDouble)
-    case (LongCol(a), LD(y))   => longVs(a, op, y)
-    case (DoubleCol(a), LL(y)) => doubleVs(a, op, y.toDouble)
-    case (DoubleCol(a), LD(y)) => doubleVs(a, op, y)
-    case (c: StringCol, LS(y)) =>
-      val test = signTest(op)
-      byCode(c, x => test(x.compareTo(y)))
-    case (c: StringCol, _)     => byCode(c, incomparable(_, l))
-    case _                     => r => incomparable(col.any(r), l)
-  }
-
-  /** `test` on each row's non-null value, run once per distinct value and
-    * then read back by code; a null (code -1) never matches. */
-  private def byCode(c: StringCol, test: String => Boolean): Int => Boolean = {
-    val (codes, dict) = (c.codes, c.dict)
-    val memo = new Array[Byte](dict.length) // 0 untested, 1 true, 2 false
-    r => {
-      val k = codes(r)
-      k >= 0 && (memo(k) match {
-        case 0 => val b = test(dict(k)); memo(k) = if (b) 1 else 2; b
-        case m => m == 1
-      })
-    }
-  }
-
-  private def incomparable(x: Any, l: Lit): Boolean = sys.error(s"incomparable $x vs $l")
-
-  private def longVs(a: Array[Long], op: Op, y: Double): Int => Boolean = op match {
-    case OpEq => r => a(r).toDouble == y
-    case OpNe => r => a(r).toDouble != y
-    case OpLt => r => a(r).toDouble < y
-    case OpLe => r => a(r).toDouble <= y
-    case OpGt => r => a(r).toDouble > y
-    case OpGe => r => a(r).toDouble >= y
-  }
-
-  private def doubleVs(a: Array[Double], op: Op, y: Double): Int => Boolean = op match {
-    case OpEq => r => a(r) == y
-    case OpNe => r => a(r) != y
-    case OpLt => r => a(r) < y
-    case OpLe => r => a(r) <= y
-    case OpGt => r => a(r) > y
-    case OpGe => r => a(r) >= y
-  }
-
-  /** `op` applied to the sign of a `compareTo` result (total orders only). */
-  private def signTest(op: Op): Int => Boolean = op match {
-    case OpEq => _ == 0
-    case OpNe => _ != 0
-    case OpLt => _ < 0
-    case OpLe => _ <= 0
-    case OpGt => _ > 0
-    case OpGe => _ >= 0
-  }
-}
-
 /** The rows a scan keeps (ascending row ids), the rows it touched and the
   * zones it skipped.
   */
 final class ScanOut(val rows: Array[Int], val scanned: Long, val zonesSkipped: Long)
 
-/** The three ways the serial engine reads a base table. Each tests `pred`
-  * on exactly the rows it counts as scanned.
+/** The three ways the serial engine reads a base table. Each runs the
+  * filter's [[Filter.select]] once, over its own vector of candidate rows,
+  * so the filter is tested on exactly the rows the scan counts as scanned.
   */
 object Scan {
-  val NoPred: Int => Boolean = _ => true
+  /** Every row passes. */
+  val NoPred: Filter = new AndF(Array.empty)
 
-  /** Sequential scan of every row. */
-  def all(numRows: Int, pred: Int => Boolean): ScanOut = {
-    val out = new Array[Int](numRows)
-    var k = 0
-    var i = 0
-    while (i < numRows) { if (pred(i)) { out(k) = i; k += 1 }; i += 1 }
-    new ScanOut(trim(out, k), numRows.toLong, 0L)
+  /** Sequential scan of every row: the candidates are the identity vector. */
+  def all(numRows: Int, f: Filter): ScanOut = {
+    val out = Array.range(0, numRows)
+    new ScanOut(trim(out, f.select(out, numRows, out)), numRows.toLong, 0L)
   }
 
   /** The given rows only (primary-key point lookups). */
-  def rows(ids: Array[Int], pred: Int => Boolean): ScanOut = {
+  def rows(ids: Array[Int], f: Filter): ScanOut = {
     val out = new Array[Int](ids.length)
-    var k = 0
-    var i = 0
-    while (i < ids.length) { if (pred(ids(i))) { out(k) = ids(i); k += 1 }; i += 1 }
-    new ScanOut(trim(out, k), ids.length.toLong, 0L)
+    new ScanOut(trim(out, f.select(ids, ids.length, out)), ids.length.toLong, 0L)
   }
 
-  /** ScanSJ (§4): visit the set bits of the AND-ed row bitmask in RID order,
-    * finding each with `numberOfTrailingZeros` on the mask's words, so a
-    * zone with no set bit is never touched. Every set bit is a row, so the
-    * rows scanned are the mask's cardinality. Zones are [[Bitmap.ZoneSize]]
-    * rows.
+  /** ScanSJ (§4): collect the set bits of the AND-ed row bitmask in RID
+    * order, finding each with `numberOfTrailingZeros` on the mask's words,
+    * so a zone with no set bit is never touched; then filter them. Every
+    * set bit is a row, so the rows scanned are the mask's cardinality.
+    * Zones are [[Bitmap.ZoneSize]] rows.
     */
-  def setBits(numRows: Int, mask: RowMask, pred: Int => Boolean): ScanOut = {
+  def setBits(numRows: Int, mask: RowMask, f: Filter): ScanOut = {
     require(mask.numRows == numRows, s"a mask over ${mask.numRows} rows cannot filter $numRows rows")
     val zs = Bitmap.ZoneSize
     val nZones = (numRows + zs - 1) / zs
@@ -145,12 +51,13 @@ object Scan {
         val i = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
         val z = i / zs
         if (z != lastZone) { touched += 1; lastZone = z }
-        if (pred(i)) { out(k) = i; k += 1 }
+        out(k) = i
+        k += 1
         bits &= bits - 1
       }
       w += 1
     }
-    new ScanOut(trim(out, k), scanned.toLong, nZones - touched)
+    new ScanOut(trim(out, f.select(out, scanned, out)), scanned.toLong, nZones - touched)
   }
 
   private def trim(a: Array[Int], n: Int): Array[Int] =

@@ -49,15 +49,6 @@ object Bitmap {
     merged
   }
 
-  /** The zone bitmask (§4): one bit per [[ZoneSize]]-row zone of the table,
-    * set when the zone holds at least one set row.
-    */
-  def zones(m: RowMask): RowMask = {
-    val z = new RowMask((m.numRows + ZoneSize - 1) / ZoneSize)
-    m.toArray.foreach(i => z.set(i / ZoneSize))
-    z
-  }
-
   /** A serializable RID-membership predicate carrying the mask's words
     * inline. Spark scans cannot skip zones, so a filtered scan's "scanned"
     * count is the row mask's cardinality, the rows that survive ScanSJ. On

@@ -24,10 +24,6 @@ final class RidIndexCsr(
 
   def degree(key: Int): Int = offsets(key + 1) - offsets(key)
 
-  /** A copy of the F-RIDs joining with `key`, for inspecting the index. */
-  def neighbors(key: Int): Array[Int] =
-    java.util.Arrays.copyOfRange(fRids, offsets(key), offsets(key + 1))
-
   /** Reverse-semijoin bitmask (§5.1): union of F-RID lists over the P-RIDs in
     * `keys` — what SJoinIdxR passes to ScanSJ(F). The mask is sized to F's
     * `fRows` rows; keys at or above `nKeys` have no list and are ignored.

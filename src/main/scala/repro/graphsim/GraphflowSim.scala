@@ -1,6 +1,6 @@
 package repro.graphsim
 
-import repro.columnar.{ColumnStore, CompiledPred, Inter, Join, Rel, Scan, TableData}
+import repro.columnar.{ColumnStore, Filter, Inter, Join, Rel, Scan, TableData}
 import repro.core._
 import scala.collection.mutable
 
@@ -16,7 +16,8 @@ final class GfMetrics {
   * is EXTEND — an index nested loop join into a value -> row ids index (the
   * adjacency-list index analogue, [[repro.columnar.TableData.index]]). It
   * runs on the same substrate as [[repro.columnar.ColumnarExec]]: compiled
-  * predicates on row ids, [[Rel]] intermediates and one shared projection.
+  * [[repro.columnar.Filter]]s on row ids, [[Rel]] intermediates and one
+  * shared projection.
   *
   * Deliberately reproduced GDBMS behaviours (per §7.2.2/§7.3.2):
   *   - the first table is always *sequentially scanned* and filtered, even
@@ -35,8 +36,8 @@ final class GraphflowSim(store: ColumnStore) {
     require(order.toSet == q.refs.map(_.alias).toSet, s"${q.name}: bad INLJ order")
     require(q.agg.isEmpty, "graphsim runs SPJ queries only (SNB-M)")
 
-    def predOf(alias: String, t: TableData): Int => Boolean =
-      q.ref(alias).pred.map(CompiledPred(_, t)).getOrElse(Scan.NoPred)
+    def predOf(alias: String, t: TableData): Filter =
+      q.ref(alias).pred.map(Filter(_, t)).getOrElse(Scan.NoPred)
 
     // Initial sequential scan of the first table.
     val a0 = order.head

@@ -46,3 +46,19 @@ object StepCounts {
       low.joins.count(_.kind.isInstanceOf[IdxMerge]), low.joins.map(_.keys.count(_.rewrite.isDefined)).sum)
   }
 }
+
+/** Views of the engine's structures that only the suites read. */
+object Inspect {
+  /** The zone bitmask (§4): one bit per [[Bitmap.ZoneSize]]-row zone of the
+    * table, set when the zone holds at least one set row. */
+  def zones(m: RowMask): RowMask = {
+    val zs = Bitmap.ZoneSize
+    val z = new RowMask((m.numRows + zs - 1) / zs)
+    m.toArray.foreach(i => z.set(i / zs))
+    z
+  }
+
+  /** A copy of the F-RIDs joining with `key`. */
+  def neighbors(idx: RidIndexCsr, key: Int): Array[Int] =
+    java.util.Arrays.copyOfRange(idx.fRids, idx.offsets(key), idx.offsets(key + 1))
+}

@@ -1,5 +1,7 @@
 package repro.columnar
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.scalacheck.rng.Seed
 import repro.SparkSpec
 
 /** Column store loading and the value (adjacency-analogue) index. */
@@ -26,6 +28,28 @@ class ColumnStoreSpec extends SparkSpec {
     assert(codes.toSeq == Seq(0, -1, 1, 0, -1))
     assert(dict.toSeq == Seq("x", "y"))
     assert(a.indices.forall(i => if (a(i) == null) codes(i) == -1 else dict(codes(i)) == a(i)))
+  }
+
+  test("the dictionary is sorted: codes keep the values' compareTo order") {
+    def ordered(a: Array[String]): Boolean = {
+      val StringCol(_, codes, dict) = StringCol(a)
+      val rows = a.indices.filter(a(_) != null)
+      dict.indices.drop(1).forall(k => dict(k - 1).compareTo(dict(k)) < 0) &&
+        a.indices.forall(i => if (a(i) == null) codes(i) == -1 else dict(codes(i)) == a(i)) &&
+        rows.forall(i => rows.forall(j => (codes(i) < codes(j)) == (a(i).compareTo(a(j)) < 0)))
+    }
+    val loaded = new ColumnStore().load("t",
+      Seq(Some("pear"), None, Some("Apple"), Some(""), Some("apple"), Some("pear"), Some("\u00e9")).toDF("s"))
+    val StringCol(a, _, dict) = loaded.col("s")
+    assert(dict.toSeq == Seq("", "Apple", "apple", "pear", "\u00e9"))
+    assert(ordered(a))
+    // random columns: short strings over a small alphabet (shared prefixes,
+    // the empty string, repeats, case) and nulls
+    val gen = Gen.listOf(Gen.frequency(1 -> Gen.const(null: String),
+      6 -> Gen.choose(0, 3).flatMap(Gen.listOfN(_, Gen.oneOf('a', 'b', 'B', '\u00e9'))).map(_.mkString)))
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300)
+      .withInitialSeed(Seed(20232L)).withWorkers(1), Prop.forAll(gen)(xs => ordered(xs.toArray)))
+    assert(res.passed, res.status.toString)
   }
 
   test("integers are widened to long columns") {

@@ -3,6 +3,7 @@ package repro.columnar
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Inspect
 import repro.core._
 import scala.util.Try
 
@@ -22,15 +23,30 @@ class KernelsSpec extends AnyFunSuite {
       Seq(Double.NaN, 0.0, -0.0, 2.0, 2.5, 5.5).map(LD(_)) ++
       Seq("", "a", "ab", "b", "z").map(LS(_))
 
-  /** The compiled predicate and [[Pred.eval]] agree on every row: same
-    * result, or both fail (incomparable column and literal). */
+  /** Two runs give the same rows, or both fail. */
+  private def same(a: Try[Seq[Int]], b: Try[Seq[Int]]): Boolean =
+    a.isFailure && b.isFailure || a.toOption == b.toOption
+
+  /** [[Pred.eval]]'s rows among `rows` of `tab`, in order; it fails when
+    * any of them fails. */
+  private def evalRows(p: Pred, tab: TableData, rows: Seq[Int]): Try[Seq[Int]] =
+    Try(rows.filter(r => Pred.eval(p, c => tab.col(c).any(r))))
+
+  /** The filter's `select` into a fresh vector. */
+  private def selected(f: Filter, rows: Array[Int]): Try[Seq[Int]] =
+    Try { val out = new Array[Int](rows.length); out.take(f.select(rows, rows.length, out)).toSeq }
+
+  /** The filter and [[Pred.eval]] agree on every row of `t`, one row at a
+    * time (same result, or both fail: incomparable column and literal) and
+    * as one selection vector. */
   private def agrees(p: Pred): Boolean = {
-    val compiled = CompiledPred(p, t)
-    (0 until t.numRows).forall { r =>
+    val f = Filter(p, t)
+    val perRow = (0 until t.numRows).forall { r =>
       val want = Try(Pred.eval(p, c => t.col(c).any(r)))
-      val got  = Try(compiled(r))
+      val got  = Try(f(r))
       want.isFailure && got.isFailure || want.toOption == got.toOption
     }
+    perRow && same(selected(f, Array.range(0, t.numRows)), evalRows(p, t, 0 until t.numRows))
   }
 
   test("compiled comparisons match Pred.eval for every op × literal × column type") {
@@ -69,27 +85,112 @@ class KernelsSpec extends AnyFunSuite {
     } yield (col.toArray, p)
     val prop = Prop.forAll(gen) { case (a, p) =>
       val st = new TableData("st", IndexedSeq("s"), IndexedSeq(StringCol(a)), a.length)
-      val compiled = CompiledPred(p, st)
-      // every row twice: the second read comes from the memo
-      (a.indices ++ a.indices).forall(r => compiled(r) == Pred.eval(p, _ => a(r)))
+      val f = Filter(p, st)
+      a.indices.forall(r => f(r) == Pred.eval(p, _ => a(r))) &&
+        same(selected(f, a.indices.toArray), evalRows(p, st, a.indices))
     }
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300)
       .withInitialSeed(Seed(20230L)).withWorkers(1), prop)
     assert(res.passed, res.status.toString)
   }
 
-  test("two compiles on one string column keep separate memos") {
-    val eq = CompiledPred(Pred.eqS("s", "a"), t)
-    val ne = CompiledPred(Pred.neS("s", "a"), t)
-    for (r <- 0 until t.numRows; (f, p) <- Seq(eq -> Pred.eqS("s", "a"), ne -> Pred.neS("s", "a")))
-      assert(f(r) == Pred.eval(p, c => t.col(c).any(r)), s"$p at row $r")
+  test("two filters compiled on one string column each keep their own rows") {
+    val all = Array.range(0, t.numRows)
+    for (p <- Seq(Pred.eqS("s", "a"), Pred.neS("s", "a"))) {
+      val f = Filter(p, t)
+      assert(selected(f, all) == evalRows(p, t, all.toSeq), p)
+      for (r <- all) assert(f(r) == Pred.eval(p, c => t.col(c).any(r)), s"$p at row $r")
+    }
   }
 
   test("an incomparable string literal fails when a non-null row is tested, not when compiled") {
-    val f = CompiledPred(Cmp("s", OpLt, LL(3)), t)
+    val f = Filter(Cmp("s", OpLt, LL(3)), t)
     assert(!f(0) && !f(6)) // null rows
     intercept[RuntimeException](f(2))
-    intercept[RuntimeException](f(2)) // a failed test leaves nothing in the memo
+    intercept[RuntimeException](f(2)) // a failed test leaves no state behind
+    // a vector of null rows passes nothing, and fails on no row
+    assert(f.select(Array(0, 6), 2, new Array[Int](2)) == 0)
+    intercept[RuntimeException](f.select(Array(0, 2, 6), 3, new Array[Int](3)))
+    intercept[RuntimeException](Scan.all(t.numRows, f))
+  }
+
+  test("AndF chains its children in place, each over the survivors of the ones before") {
+    // s: null, "", "a", "b", "ab", "a", null; l: -1, 0, 2, 5, max, 2, 2^53+1
+    val p = AndP(Seq(Cmp("l", OpGe, LL(0)), Cmp("s", OpNe, LS("ab")), Cmp("d", OpLt, LD(5.0))))
+    val v = Array.range(0, t.numRows)
+    val k = Filter(p, t).select(v, v.length, v)
+    assert(v.take(k).toSeq == Seq(1, 2, 5) && evalRows(p, t, 0 until t.numRows).get == Seq(1, 2, 5))
+    // A child that fails on a non-null row is tested only on the rows the
+    // earlier children kept: here none, then two non-null ones.
+    val none = AndP(Seq(Pred.eqS("s", "zz"), Cmp("s", OpLt, LL(3))))
+    assert(Scan.all(t.numRows, Filter(none, t)).rows.isEmpty)
+    intercept[RuntimeException](Scan.all(t.numRows, Filter(AndP(Seq(Pred.eqL("l", 2), Cmp("s", OpLt, LL(3)))), t)))
+    // OR tests a later child only on the rows no earlier child passed.
+    val or = OrP(Seq(Pred.eqS("s", "a"), Cmp("s", OpLt, LL(3))))
+    assert(Scan.rows(Array(0, 2, 5, 6), Filter(or, t)).rows.toSeq == Seq(2, 5))
+    intercept[RuntimeException](Scan.all(t.numRows, Filter(or, t)))
+    // no rows in, no rows out, and no test run
+    assert(Filter(Cmp("l", OpLt, LS("x")), t).select(v, 0, v) == 0)
+  }
+
+  test("property: Filter.select, Filter.apply and Pred.eval agree through Scan.all, Scan.rows and Scan.setBits") {
+    // The dictionary holds some of "b" < "bd" < "d" < "f". The literals lie
+    // below the smallest entry ("" and "a"), on an entry, between two
+    // ("bc", "c", "e") and above the largest ("g").
+    val strs = Seq("b", "bd", "d", "f")
+    val strLits = Seq("", "a", "b", "bc", "bd", "c", "d", "e", "f", "g").map(LS(_))
+    val longLits = Seq(-1L, 0L, 2L, 3L, Long.MaxValue).map(LL(_))
+    val dblLits = Seq(Double.NaN, -0.0, 1.5, 3.0).map(LD(_))
+    val litsOf = Map("l" -> (longLits ++ dblLits), "d" -> (dblLits ++ longLits), "s" -> strLits)
+    val anyLit = Gen.oneOf(strLits ++ longLits ++ dblLits)
+    val leaf: Gen[Pred] = for {
+      c   <- Gen.oneOf("l", "d", "s")
+      in  <- Gen.oneOf(true, false)
+      // now and then a literal of another type: an empty in-list or an
+      // incomparable comparison
+      lit = Gen.frequency(30 -> Gen.oneOf(litsOf(c)), 1 -> anyLit)
+      p   <- if (in) Gen.choose(1, 3).flatMap(Gen.listOfN(_, lit)).map(InList(c, _))
+             else Gen.zip(Gen.oneOf(ops), lit).map { case (op, l) => Cmp(c, op, l) }
+    } yield p
+    def tree(depth: Int): Gen[Pred] =
+      if (depth == 0) leaf
+      else Gen.frequency(
+        2 -> leaf,
+        1 -> Gen.choose(0, 3).flatMap(Gen.listOfN(_, tree(depth - 1))).map(AndP(_)),
+        1 -> Gen.choose(0, 3).flatMap(Gen.listOfN(_, tree(depth - 1))).map(OrP(_)))
+    // every row passes these; the last chains two in-place selects
+    val allPass = Gen.oneOf[Pred](AndP(Nil), Cmp("l", OpGe, LL(-1L)),
+      AndP(Seq(Cmp("l", OpLe, LL(Long.MaxValue)), Cmp("l", OpGe, LL(-1L)))))
+    val gen = for {
+      n     <- Gen.frequency(1 -> Gen.const(0), 1 -> Gen.choose(1, 8), 4 -> Gen.choose(9, 150))
+      ls    <- Gen.listOfN(n, Gen.oneOf(-1L, 0L, 1L, 2L, 3L, Long.MaxValue))
+      ds    <- Gen.listOfN(n, Gen.oneOf(Double.NaN, -0.0, 0.0, 1.5, 3.0, Double.NegativeInfinity))
+      ss    <- Gen.listOfN(n, Gen.frequency(1 -> Gen.const(null: String), 4 -> Gen.oneOf(strs)))
+      p     <- Gen.frequency(8 -> tree(3), 1 -> allPass)
+      // point-lookup rows: a subset in a random order, which select keeps
+      inIds <- Gen.listOfN(n, Gen.oneOf(true, false))
+      order <- Gen.listOfN(n, Gen.choose(0, 1000))
+      bits  <- Gen.listOfN(n, Gen.oneOf(true, false))
+      zs    <- Gen.choose(1, 16)
+    } yield (new TableData("r", IndexedSeq("l", "d", "s"),
+      IndexedSeq(LongCol(ls.toArray), DoubleCol(ds.toArray), StringCol(ss.toArray)), n), p,
+      (0 until n).filter(inIds(_)).sortBy(order(_)).toArray, bits.indices.filter(bits(_)), zs)
+    val prop = Prop.forAll(gen) { case (tab, p, ids, setRows, zs) =>
+      val n = tab.numRows
+      val f = Filter(p, tab)
+      val mask = new RowMask(n)
+      setRows.foreach(r => mask.add(r.toLong, "r.__rid"))
+      val bySetBits = Try(Bitmap.withZoneSize(zs)(Scan.setBits(n, mask, f)))
+      val (zoneRows, zoneScanned, zoneSkipped) = Bitmap.withZoneSize(zs)(zoneLoop(n, mask))
+      Prop(same(Try(Scan.all(n, f).rows.toSeq), evalRows(p, tab, 0 until n))) :| "Scan.all" &&
+        Prop(same(Try(Scan.rows(ids, f).rows.toSeq), evalRows(p, tab, ids.toSeq))) :| "Scan.rows" &&
+        Prop(same(bySetBits.map(_.rows.toSeq), evalRows(p, tab, zoneRows))) :| "Scan.setBits" &&
+        Prop(bySetBits.toOption.forall(o => o.scanned == zoneScanned && o.zonesSkipped == zoneSkipped)) :| "zone counts" &&
+        Prop(same(Try((0 until n).filter(f(_))), evalRows(p, tab, 0 until n))) :| "apply"
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(1000)
+      .withInitialSeed(Seed(20231L)).withWorkers(1), prop)
+    assert(res.passed, res.status.toString)
   }
 
   /** A row mask over the rows of `t`. */
@@ -100,7 +201,7 @@ class KernelsSpec extends AnyFunSuite {
   /** ScanSJ as a zone loop: every zone holding a set bit is walked row by
     * row, testing each row against the bitmask; the rest are skipped. */
   private def zoneLoop(numRows: Int, combined: RowMask): (Seq[Int], Long, Long) = {
-    val zones = Bitmap.zones(combined)
+    val zones = Inspect.zones(combined)
     val zs = Bitmap.ZoneSize
     val nZones = (numRows + zs - 1) / zs
     val rows = Seq.newBuilder[Int]
@@ -134,10 +235,14 @@ class KernelsSpec extends AnyFunSuite {
 
   test("set-bit ScanSJ tests the predicate on the rows it scans only") {
     Bitmap.withZoneSize(4) {
-      val p = CompiledPred(Pred.eqS("s", "a"), t)
+      val p = Filter(Pred.eqS("s", "a"), t)
       val out = Scan.setBits(t.numRows, bm(0, 2, 3, 5, 6), p)
       assert(out.rows.toSeq == Seq(2, 5))
       assert(out.scanned == 5)
+      // the incomparable test fails on any non-null row it is given
+      val failing = Filter(OrP(Seq(Pred.eqS("s", "a"), Cmp("s", OpLt, LL(3)))), t)
+      assert(Scan.setBits(t.numRows, bm(0, 2, 5, 6), failing).rows.toSeq == Seq(2, 5))
+      intercept[RuntimeException](Scan.setBits(t.numRows, bm(0, 2, 3), failing))
     }
   }
 

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
+import repro.{Inspect, SparkSpec}
 
 /** Row/zone bitmask machinery for sip. */
 class BitmapSpec extends SparkSpec {
@@ -31,7 +31,7 @@ class BitmapSpec extends SparkSpec {
   }
 
   test("zones projects RIDs to zone numbers") {
-    val z = Bitmap.zones(bm(6 * Bitmap.ZoneSize)(0, 1, Bitmap.ZoneSize - 1, Bitmap.ZoneSize, 5 * Bitmap.ZoneSize))
+    val z = Inspect.zones(bm(6 * Bitmap.ZoneSize)(0, 1, Bitmap.ZoneSize - 1, Bitmap.ZoneSize, 5 * Bitmap.ZoneSize))
     assert(z.toArray.toSeq == Seq(0, 1, 5))
   }
 

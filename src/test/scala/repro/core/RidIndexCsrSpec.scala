@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Inspect
 
 /** CSR RID index: construction, lookups, reverse/merged bitmask mapping. */
 class RidIndexCsrSpec extends AnyFunSuite {
@@ -27,8 +28,8 @@ class RidIndexCsrSpec extends AnyFunSuite {
     assert(idx.degree(1) == 1)
     assert(idx.degree(2) == 1)
     assert(idx.degree(3) == 0)
-    assert(idx.neighbors(0).sorted.toSeq == Seq(0, 2, 4))
-    assert(idx.neighbors(1).toSeq == Seq(3)) // Karim's only follows row
+    assert(Inspect.neighbors(idx, 0).sorted.toSeq == Seq(0, 2, 4))
+    assert(Inspect.neighbors(idx, 1).toSeq == Seq(3)) // Karim's only follows row
   }
 
   test("mapToF unions F-RID lists (reverse semijoin bitmask)") {
@@ -71,7 +72,7 @@ class RidIndexCsrSpec extends AnyFunSuite {
   test("dangling keys (-1) are dropped at build time") {
     val d = RidIndexCsr.build(2, Array(-1, 1), Array(0, 1), null)
     assert(d.nEntries == 1)
-    assert(d.neighbors(1).toSeq == Seq(1))
+    assert(Inspect.neighbors(d, 1).toSeq == Seq(1))
     assert(!d.extended)
   }
 

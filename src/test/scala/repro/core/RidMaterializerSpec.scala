@@ -5,7 +5,7 @@ import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalacheck.rng.Seed
-import repro.SparkSpec
+import repro.{Inspect, SparkSpec}
 
 /** The Spark formulation of RID materialization that [[GrainCatalog]]
   * replaced, kept as the reference of the differential test: `__rid` by a
@@ -85,10 +85,10 @@ class RidMaterializerSpec extends SparkSpec {
 
     // and the RID index over it matches Fig. 2, with ascending F-RID lists
     val idx = cat.buildRidIndex("follows", "id1", extendedWith = Some("id2"))
-    assert(idx.neighbors(0).toSeq == Seq(0, 2, 4))
-    assert(idx.neighbors(1).toSeq == Seq(3))
-    assert(idx.neighbors(2).toSeq == Seq(1))
-    assert(idx.neighbors(3).isEmpty)
+    assert(Inspect.neighbors(idx, 0).toSeq == Seq(0, 2, 4))
+    assert(Inspect.neighbors(idx, 1).toSeq == Seq(3))
+    assert(Inspect.neighbors(idx, 2).toSeq == Seq(1))
+    assert(Inspect.neighbors(idx, 3).isEmpty)
     assert(idx.extended)
   }
 
@@ -187,7 +187,7 @@ class RidMaterializerSpec extends SparkSpec {
         (c.offsets(k) until c.offsets(k + 1)).map(i => (c.fRids(i), c.otherRids(i))).toSet
       val sameCsr = csr.nEntries == refCsr.nEntries &&
         (0 until pRows.size).forall(k => entries(csr, k) == entries(refCsr, k))
-      val ascending = (0 until pRows.size).forall(k => csr.neighbors(k).toSeq == csr.neighbors(k).sorted.toSeq)
+      val ascending = (0 until pRows.size).forall { k => val fs = Inspect.neighbors(csr, k).toSeq; fs == fs.sorted }
       Prop(sameP) :| "P __rid" && Prop(sameF) :| "F __rid/rid_*" &&
         Prop(sameDangling) :| "danglingCounts" && Prop(sameCsr) :| "CSR" && Prop(ascending) :| "ascending"
     }

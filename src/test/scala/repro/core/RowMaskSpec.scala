@@ -3,7 +3,7 @@ package repro.core
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
-import repro.columnar.Scan
+import repro.columnar.{Filter, LongCol, Scan, TableData}
 
 /** The dense row bitmask, and a differential test of the RID-index mappings
   * and ScanSJ over it against their RoaringBitmap formulation
@@ -93,7 +93,11 @@ class RowMaskSpec extends AnyFunSuite {
     } yield (numRows, zs, rows, salt)
     check(Prop.forAll(gen) { case (numRows, zs, rows, salt) =>
       val pred: Int => Boolean = i => (i + salt) % 3 != 0
-      val out = Bitmap.withZoneSize(zs)(Scan.setBits(numRows, mask(numRows, rows), pred))
+      // the same test as a filter: x(i) = (i + salt) % 3, x <> 0
+      val x = Array.tabulate(numRows)(i => ((i + salt) % 3).toLong)
+      val t = new TableData("t", IndexedSeq("x"), IndexedSeq(LongCol(x)), numRows)
+      val f = Filter(Cmp("x", OpNe, LL(0L)), t)
+      val out = Bitmap.withZoneSize(zs)(Scan.setBits(numRows, mask(numRows, rows), f))
       val (refRows, refScanned, refSkipped) =
         RoaringReference.setBits(numRows, RoaringReference.of(rows), zs, pred)
       out.rows.toSeq == refRows && out.scanned == refScanned && out.zonesSkipped == refSkipped
