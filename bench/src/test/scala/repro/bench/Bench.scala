@@ -1,4 +1,4 @@
-package repro.core
+package repro.bench
 
 import java.nio.file.{Files, Paths, StandardOpenOption}
 import java.nio.charset.StandardCharsets

@@ -69,7 +69,6 @@ final class TableData(val name: String, val colNames: IndexedSeq[String],
                       val cols: IndexedSeq[ColData], val numRows: Int) {
   private val byName = colNames.zipWithIndex.toMap
   def col(c: String): ColData = cols(byName.getOrElse(c, sys.error(s"$name: no column $c")))
-  def has(c: String): Boolean = byName.contains(c)
 
   /** Column `c` over every row, in row order. */
   def ref(c: String): ColRef = new ColRef(s"$name.$c", allRows, col(c))

@@ -61,8 +61,8 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
       case j: JoinNode =>
         val interL = exec(j.build)
         def colOf(rel: Rel, k: Key): ColRef = rel.col(k.alias, k.col)
-        // A build-side key's row mask is built once per node: a merged
-        // join's MapToOther step and its index pairs share one.
+        // A build-side key's row mask is built once per node, however many
+        // steps start from it.
         val masks = mutable.Map[(Key, Int), RowMask]()
         def maskOf(k: Key)(n: Int): RowMask = masks.getOrElseUpdate((k, n), colOf(interL, k).mask(n))
         j.steps.foreach { s =>
@@ -76,28 +76,15 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
 
         val (li, ri) = j.kind match {
           case IdxMerge(from, idx, to, _) =>
-            // SJoinIdxM: pairs come straight from the extended index.
-            val (ks, os) = idx.pairsFor(maskOf(from)(idx.nKeys))
-            val lById = new LongMultiMap(colOf(interL, from), interL.size, ks.length)
-            val rById = new LongMultiMap(colOf(interR, to), interR.size, ks.length)
-            val conds = j.keys.map(k => Join.eq(colOf(interL, k.build), colOf(interR, k.probe))).toArray
-            val lb = new mutable.ArrayBuilder.ofInt
-            val rb = new mutable.ArrayBuilder.ofInt
-            m.indexLookups += ks.length
-            var i = 0
-            while (i < ks.length) {
-              var l = lById.first(ks(i))
-              while (l >= 0) {
-                var r = rById.first(os(i))
-                while (r >= 0) {
-                  if (conds.forall(_(l, r))) { lb += l; rb += r }
-                  r = rById.next(r)
-                }
-                l = lById.next(l)
-              }
-              i += 1
-            }
-            (lb.result(), rb.result())
+            // SJoinIdxM (§5.2): each build row walks its P1 RID's range of
+            // the extended index in place; the P2 RIDs read there probe the
+            // probe side, and the node's keys filter the pairs.
+            val (ps, os) = idx.walk(colOf(interL, from).ids)
+            m.indexLookups += os.length
+            val (ri, at) = new LongMultiMap(colOf(interR, to), interR.size, os.length)
+              .pairs(new ColRef(s"${from.name}->${to.name}", os, null), os.length)
+            Join.where(Rel.gather(ps, at), ri,
+              j.keys.map(k => Join.eq(colOf(interL, k.build), colOf(interR, k.probe))))
           case CrossJoin => Join.cross(interL.size, interR.size)
           case HashJoin =>
             m.probes += interR.size

@@ -107,7 +107,8 @@ object Rel {
     new Inter(out.map(_.name).toIndexedSeq, rows)
   }
 
-  private def gather(ids: Array[Int], at: Array[Int]): Array[Int] = {
+  /** `ids(at(k))` for every k. */
+  private[columnar] def gather(ids: Array[Int], at: Array[Int]): Array[Int] = {
     val out = new Array[Int](at.length)
     var i = 0
     while (i < at.length) { out(i) = ids(at(i)); i += 1 }
@@ -250,21 +251,27 @@ object Join {
         (0 until pn).foreach(r => ht.get(pk.any(r)).foreach(_.foreach { l => li += l; ri += r }))
         (li.result(), ri.result())
       }
-    val rest = bKeys.tail.zip(pKeys.tail).map { case (b, p) => eq(b, p) }
-    if (rest.isEmpty) (li, ri) else where(li, ri, (l, r) => rest.forall(_(l, r)))
+    where(li, ri, bKeys.tail.zip(pKeys.tail).map { case (b, p) => eq(b, p) })
   }
 
-  /** The pairs `(li(k), ri(k))` that satisfy `keep`, in order. */
-  private def where(li: Array[Int], ri: Array[Int], keep: (Int, Int) => Boolean): (Array[Int], Array[Int]) = {
-    val (lo, ro) = (new Array[Int](li.length), new Array[Int](ri.length))
-    var n = 0
-    var k = 0
-    while (k < li.length) {
-      if (keep(li(k), ri(k))) { lo(n) = li(k); ro(n) = ri(k); n += 1 }
-      k += 1
+  /** The pairs `(li(k), ri(k))` that satisfy every condition in `conds`, in
+    * order: the residual filter of every serial join. With no condition the
+    * inputs are returned as they are. */
+  def where(li: Array[Int], ri: Array[Int], conds: Seq[(Int, Int) => Boolean]): (Array[Int], Array[Int]) =
+    if (conds.isEmpty) (li, ri)
+    else {
+      val cs = conds.toArray
+      val (lo, ro) = (new Array[Int](li.length), new Array[Int](ri.length))
+      var n = 0
+      var k = 0
+      while (k < li.length) {
+        var c = 0
+        while (c < cs.length && cs(c)(li(k), ri(k))) c += 1
+        if (c == cs.length) { lo(n) = li(k); ro(n) = ri(k); n += 1 }
+        k += 1
+      }
+      (java.util.Arrays.copyOf(lo, n), java.util.Arrays.copyOf(ro, n))
     }
-    (java.util.Arrays.copyOf(lo, n), java.util.Arrays.copyOf(ro, n))
-  }
 
   /** Row-pair equality of two columns, with boxed-value semantics. */
   def eq(a: ColRef, b: ColRef): (Int, Int) => Boolean =

@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.mutable
+
 /** In-memory RID index (§5) in compressed-sparse-row form — the analogue of a
   * GDBMS adjacency-list index.
   *
@@ -21,8 +23,6 @@ final class RidIndexCsr(
   require(offsets.length == nKeys + 1, "offsets must have nKeys+1 entries")
   def nEntries: Int = fRids.length
   def extended: Boolean = otherRids != null
-
-  def degree(key: Int): Int = offsets(key + 1) - offsets(key)
 
   /** Reverse-semijoin bitmask (§5.1): union of F-RID lists over the P-RIDs in
     * `keys` — what SJoinIdxR passes to ScanSJ(F). The mask is sized to F's
@@ -72,46 +72,28 @@ final class RidIndexCsr(
     out
   }
 
-  /** Join-merging (§5.2): (keyRid, otherRid) pairs for every key in `keys`,
-    * in key order, produced without touching F's columns — the implicit
-    * join with F.
+  /** Join-merging (§5.2), read in place: for each position `p` of `keys`,
+    * one `(p, otherRid)` pair per entry of key `keys(p)`'s range, in `keys`
+    * order and then index order — the implicit join with F, made without
+    * touching F's columns. A dangling other-FK (-1) gives no pair; a key
+    * outside `0 until nKeys` fails with an index error.
     */
-  def pairsFor(keys: RowMask): (Array[Int], Array[Int]) = {
-    val kw = keys.words
-    val nw = math.min(kw.length, RowMask.wordsFor(nKeys))
-    var total = 0
-    var w = 0
-    while (w < nw) {
-      var bits = kw(w)
-      while (bits != 0L) {
-        val k = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-        if (k < nKeys) total += degree(k)
-        bits &= bits - 1
+  def walk(keys: Array[Int]): (Array[Int], Array[Int]) = {
+    val ps = new mutable.ArrayBuilder.ofInt
+    val os = new mutable.ArrayBuilder.ofInt
+    var p = 0
+    while (p < keys.length) {
+      val k = keys(p)
+      var i = offsets(k)
+      val end = offsets(k + 1)
+      while (i < end) {
+        val o = otherRids(i)
+        if (o >= 0) { ps += p; os += o }
+        i += 1
       }
-      w += 1
+      p += 1
     }
-    val ks = new Array[Int](total)
-    val os = new Array[Int](total)
-    var n = 0
-    w = 0
-    while (w < nw) {
-      var bits = kw(w)
-      while (bits != 0L) {
-        val k = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-        if (k < nKeys) {
-          var i = offsets(k)
-          val end = offsets(k + 1)
-          while (i < end) {
-            // dangling other-FK (-1): the F row matches no P2 row, skip
-            if (otherRids(i) >= 0) { ks(n) = k; os(n) = otherRids(i); n += 1 }
-            i += 1
-          }
-        }
-        bits &= bits - 1
-      }
-      w += 1
-    }
-    (java.util.Arrays.copyOf(ks, n), java.util.Arrays.copyOf(os, n))
+    (ps.result(), os.result())
   }
 
   /** Approximate heap bytes (for the §7.2.2 memory-consumption comparison). */

@@ -131,10 +131,11 @@ final class SparkExec(cat: GrainCatalog, cfg: GrainConfig) {
           j.kind match {
             case IdxMerge(from, idx, to, _) =>
               // SJoinIdxM (§5.2): join through index pairs, F never scanned.
-              val (ks, os) = idx.pairsFor(maskOf(from)(idx.nKeys))
+              val keys = maskOf(from)(idx.nKeys).toArray
+              val (ps, os) = idx.walk(keys)
               val spark = cat.spark
               import spark.implicits._
-              val pairs = ks.zip(os).toSeq.toDF("__mk", "__mo")
+              val pairs = ps.map(keys(_)).zip(os).toSeq.toDF("__mk", "__mo")
               val viaPairs = dfL.join(pairs, dfL(from.name) === pairs("__mk"))
               var joined = viaPairs.join(dfR, viaPairs("__mo") === dfR(to.name))
                 .drop("__mk", "__mo")

@@ -2,7 +2,6 @@ package repro.graphsim
 
 import repro.columnar.{ColumnStore, Filter, Inter, Join, Rel, Scan, TableData}
 import repro.core._
-import scala.collection.mutable
 
 /** Metrics of the GDBMS-style execution (the access-pattern story of §7.3.2). */
 final class GfMetrics {
@@ -55,32 +54,22 @@ final class GraphflowSim(store: ColumnStore) {
       require(connecting.nonEmpty, s"${q.name}: INLJ order disconnects at $b")
       val main = connecting.head
       val (aAlias, aCol) = main.other(b)
-      val idx = tb.index(main.colOf(b))
       val key = rel.col(aAlias, aCol)
       require(key.isLong, s"${q.name}: INLJ key ${key.name} must be long")
-      val nProps = q.neededCols(b).size
       val extraJoins = connecting.tail.map { j =>
         val (oa, oc) = j.other(b)
         Join.eq(rel.col(oa, oc), tb.ref(j.colOf(b)))
-      }.toArray
-      val pred = predOf(b, tb)
-      val li = new mutable.ArrayBuilder.ofInt
-      val ri = new mutable.ArrayBuilder.ofInt
-      var i = 0
-      while (i < rel.size) {
-        m.indexLookups += 1
-        var r = idx.first(key.long(i))
-        while (r >= 0) {
-          m.extendedTuples += 1
-          // Property fetch happens after the join (random access), and only
-          // then are predicates on the extended table evaluated.
-          m.propertyReads += nProps
-          if (extraJoins.forall(_(i, r)) && pred(r)) { li += i; ri += r }
-          r = idx.next(r)
-        }
-        i += 1
       }
-      rel = Rel.extended(rel, li.result(), b, tb, ri.result())
+      val pred = predOf(b, tb)
+      // Every extended tuple is enumerated first; its properties are then
+      // fetched by random access, and only then are the extra join
+      // conditions and the extended table's predicates evaluated.
+      val (rows, at) = tb.index(main.colOf(b)).pairs(key, rel.size)
+      m.indexLookups += rel.size
+      m.extendedTuples += rows.length
+      m.propertyReads += q.neededCols(b).size.toLong * rows.length
+      val (li, ri) = Join.where(at, rows, extraJoins :+ ((_: Int, r: Int) => pred(r)))
+      rel = Rel.extended(rel, li, b, tb, ri)
       bound += b
     }
 

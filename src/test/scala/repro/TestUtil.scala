@@ -61,4 +61,7 @@ object Inspect {
   /** A copy of the F-RIDs joining with `key`. */
   def neighbors(idx: RidIndexCsr, key: Int): Array[Int] =
     java.util.Arrays.copyOfRange(idx.fRids, idx.offsets(key), idx.offsets(key + 1))
+
+  /** How many F rows point at `key`. */
+  def degree(idx: RidIndexCsr, key: Int): Int = idx.offsets(key + 1) - idx.offsets(key)
 }

@@ -256,6 +256,16 @@ class KernelsSpec extends AnyFunSuite {
     assert(ls.zip(rs).count { case (l, r) => t.col("s").any(l) == null && l != r } == 2)
   }
 
+  test("Join.where keeps the pairs on which every condition holds, in order") {
+    val (li, ri) = (Array(0, 1, 2, 3, 4), Array(4, 3, 2, 1, 0))
+    val (l0, r0) = Join.where(li, ri, Nil)
+    assert((l0 eq li) && (r0 eq ri))
+    val even: (Int, Int) => Boolean = (l, _) => l % 2 == 0
+    val small: (Int, Int) => Boolean = (_, r) => r < 3
+    val (lo, ro) = Join.where(li, ri, Seq(even, small))
+    assert(lo.toSeq == Seq(2, 4) && ro.toSeq == Seq(2, 0))
+  }
+
   test("a dense __rid build key probes by direct address") {
     val rel = Rel.leaf("a", t, Array(6, 2, 2, 0))
     val ht = new LongMultiMap(rel.col("a", "__rid"), rel.size, 0)

@@ -24,10 +24,10 @@ class RidIndexCsrSpec extends AnyFunSuite {
     others = Array(1, 3, 2, 2, 3)) // rid_ID2 per Follows row
 
   test("degree and neighbors match the running example") {
-    assert(idx.degree(0) == 3)
-    assert(idx.degree(1) == 1)
-    assert(idx.degree(2) == 1)
-    assert(idx.degree(3) == 0)
+    assert(Inspect.degree(idx, 0) == 3)
+    assert(Inspect.degree(idx, 1) == 1)
+    assert(Inspect.degree(idx, 2) == 1)
+    assert(Inspect.degree(idx, 3) == 0)
     assert(Inspect.neighbors(idx, 0).sorted.toSeq == Seq(0, 2, 4))
     assert(Inspect.neighbors(idx, 1).toSeq == Seq(3)) // Karim's only follows row
   }
@@ -43,10 +43,26 @@ class RidIndexCsrSpec extends AnyFunSuite {
     assert(idx.mapToF(bm(17), FRows).isEmpty)
   }
 
-  test("pairsFor preserves multiplicity (one pair per F row)") {
-    val (ks, os) = idx.pairsFor(bm(0))
-    assert(ks.toSeq == Seq(0, 0, 0))
-    assert(os.sorted.toSeq == Seq(1, 2, 3))
+  test("walk preserves multiplicity (one pair per F row)") {
+    val (ps, os) = idx.walk(Array(0))
+    assert(ps.toSeq == Seq(0, 0, 0))
+    assert(os.toSeq == Seq(1, 2, 3))
+  }
+
+  test("walk gives one run per key position, in keys order") {
+    // repeated and unordered keys, and a key (3) with an empty range
+    val (ps, os) = idx.walk(Array(2, 0, 3, 2))
+    assert(ps.toSeq == Seq(0, 1, 1, 1, 3))
+    assert(os.toSeq == Seq(3, 1, 2, 3, 3))
+  }
+
+  test("walk of no keys gives no pairs") {
+    val (ps, os) = idx.walk(Array.empty)
+    assert(ps.isEmpty && os.isEmpty)
+  }
+
+  test("walk fails on a key at or above nKeys") {
+    for (bad <- Seq(4, 5, 17)) intercept[IndexOutOfBoundsException](idx.walk(Array(0, bad)))
   }
 
   test("mapToOther gives reachable other-side RIDs") {
@@ -54,10 +70,10 @@ class RidIndexCsrSpec extends AnyFunSuite {
     assert(idx.mapToOther(bm(1), PRows).toArray.toSeq == Seq(2))
   }
 
-  test("dangling other-RIDs (-1) are skipped by pairsFor/mapToOther") {
+  test("dangling other-RIDs (-1) are skipped by walk/mapToOther") {
     val d = RidIndexCsr.build(2, Array(0, 0, 1), Array(0, 1, 2), Array(5, -1, -1))
-    val (ks, os) = d.pairsFor(bm(0, 1))
-    assert(ks.toSeq == Seq(0) && os.toSeq == Seq(5))
+    val (ps, os) = d.walk(Array(0, 1))
+    assert(ps.toSeq == Seq(0) && os.toSeq == Seq(5))
     assert(d.mapToOther(bm(0, 1), 6).toArray.toSeq == Seq(5))
     // but mapToF (reverse semijoin) still sees all F rows
     assert(d.mapToF(bm(0, 1), 3).toArray.sorted.toSeq == Seq(0, 1, 2))

@@ -66,7 +66,7 @@ class RowMaskSpec extends AnyFunSuite {
     assert(res.passed, res.status.toString)
   }
 
-  test("property: mapToF, mapToOther and pairsFor match the RoaringBitmap formulation") {
+  test("property: mapToF, mapToOther and walk match the RoaringBitmap formulation") {
     val gen = for {
       (idx, fRows, otherRows) <- genIndex
       // key masks may be wider than the index: keys at or above nKeys have no list
@@ -76,11 +76,14 @@ class RowMaskSpec extends AnyFunSuite {
     check(Prop.forAll(gen) { case (idx, fRows, otherRows, extra, probe) =>
       val keys = mask(idx.nKeys + extra, probe)
       val ref = RoaringReference.of(probe)
-      val (ks, os) = idx.pairsFor(keys)
+      // walk as Spark's merged join calls it: the set bits of a mask over
+      // the index's own keys, mapped back through that key array
+      val inRange = mask(idx.nKeys, probe.filter(_ < idx.nKeys)).toArray
+      val (ps, os) = idx.walk(inRange)
       val (rks, ros) = RoaringReference.pairsFor(idx, ref)
       idx.mapToF(keys, fRows).toArray.toSeq == RoaringReference.mapToF(idx, ref).toArray.toSeq &&
         idx.mapToOther(keys, otherRows).toArray.toSeq == RoaringReference.mapToOther(idx, ref).toArray.toSeq &&
-        ks.toSeq == rks.toSeq && os.toSeq == ros.toSeq
+        ps.map(inRange(_)).toSeq == rks.toSeq && os.toSeq == ros.toSeq
     })
   }
 

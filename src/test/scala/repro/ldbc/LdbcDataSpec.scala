@@ -1,7 +1,7 @@
 package repro.ldbc
 
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{Inspect, SparkSpec}
 
 /** SNB-lite generator: FK integrity, determinism, parameter validity. */
 class LdbcDataSpec extends SparkSpec {
@@ -72,6 +72,6 @@ class LdbcDataSpec extends SparkSpec {
     val cat = LdbcData.catalog(spark, Sf)
     val idx = cat.ridIndex("knows", "person1id").get
     assert(idx.nEntries == sc.nKnows)
-    assert((0 until idx.nKeys).map(idx.degree).sum == sc.nKnows)
+    assert((0 until idx.nKeys).map(Inspect.degree(idx, _)).sum == sc.nKnows)
   }
 }
