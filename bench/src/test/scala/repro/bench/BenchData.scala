@@ -20,7 +20,7 @@ object BenchData {
   /** SNB-lite at bench scale (serial-engine substrate for Tables 5/6/10). */
   val SnbScale = 3.0
   lazy val snbCat: GrainCatalog = LdbcData.catalog(spark, SnbScale)
-  lazy val snbStore: ColumnStore = LdbcData.store(snbCat)
+  lazy val snbStore: ColumnStore = ColumnStore.of(snbCat)
   lazy val snbScaleCfg: LdbcData.Scale = LdbcData.scale(SnbScale)
 
   /** IMDB-lite at bench scale (serial columnar substrate, Tables 3/4/7/8 —
@@ -29,7 +29,7 @@ object BenchData {
     */
   val JobScale = 1.0
   lazy val imdbCat: GrainCatalog = ImdbData.catalog(spark, JobScale)
-  lazy val imdbStore: ColumnStore = ImdbData.store(imdbCat)
+  lazy val imdbStore: ColumnStore = ColumnStore.of(imdbCat)
 
   /** TPC-H-lite at bench scale (Table 9). */
   val TpchSf = 0.05

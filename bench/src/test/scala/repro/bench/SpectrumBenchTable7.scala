@@ -29,9 +29,9 @@ class SpectrumBenchTable7 extends AnyFunSuite {
       grain.run(q); duck.run(q) // JIT warm-up
       val pDuckStar = Bench.timeMs(warmup = 1, runs = 3)(grain.run(q))
       val timed = orders.map { order =>
-        val plan = QueryIR.leftDeep(order)
-        val d = Bench.timeMs(warmup = 1, runs = 1)(duck.run(q, Some(plan)))
-        val g = Bench.timeMs(warmup = 1, runs = 1)(grain.run(q, Some(plan)))
+        val pinned = q.copy(planOpt = Some(QueryIR.leftDeep(order)))
+        val d = Bench.timeMs(warmup = 1, runs = 1)(duck.run(pinned))
+        val g = Bench.timeMs(warmup = 1, runs = 1)(grain.run(pinned))
         (d, g)
       }
       Row(name, pDuckStar, timed.map(_._2).min, timed.map(_._1), timed.map(_._2))

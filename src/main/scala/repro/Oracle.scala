@@ -1,7 +1,7 @@
 package repro
 
 import java.sql.DriverManager
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.DataFrame
 import scala.jdk.CollectionConverters._
 
 /** DuckDB correctness oracle.
@@ -17,20 +17,22 @@ import scala.jdk.CollectionConverters._
   */
 object Oracle {
 
-  private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
+  /** Result rows in a form every engine agrees on: columns sorted by name,
+    * doubles to 6 decimals, nulls as ∅, and the rows sorted. */
+  def canon(cols: Seq[String], rows: Seq[Seq[Any]]): Seq[Seq[String]] = {
     val order = cols.sorted
-    val idx   = order.map(cols.indexOf)
+    val idx   = order.map(cols.indexOf(_))
     rows
       .map(r => idx.map { i =>
-        r.get(i) match {
-          case null                 => "∅"
-          case d: Double            => f"$d%.6f"
-          case f: Float             => f"${f.toDouble}%.6f"
+        r(i) match {
+          case null                     => "∅"
+          case d: Double                => f"$d%.6f"
+          case f: Float                 => f"${f.toDouble}%.6f"
           case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"
-          case x                    => x.toString
+          case x                        => x.toString
         }
       })
-      .sortBy(_.mkString(""))
+      .sortBy(_.mkString(""))
   }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
@@ -58,15 +60,15 @@ object Oracle {
       val dRows = Iterator
         .continually(rs)
         .takeWhile(_.next())
-        .map(r => Row.fromSeq((1 to dCols.size).map(r.getObject)))
+        .map(r => (1 to dCols.size).map(r.getObject))
         .toSeq
       val sCols = sparkDf.columns.toSeq
       require(
         dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
         s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column"
       )
-      val got = canon(sparkDf.collect().toSeq, sCols)
-      val exp = canon(dRows, dCols)
+      val got = canon(sCols, sparkDf.collect().toSeq.map(_.toSeq))
+      val exp = canon(dCols, dRows)
       require(got == exp,
         s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
         s"  first spark-only: ${got.diff(exp).take(3)}\n" +

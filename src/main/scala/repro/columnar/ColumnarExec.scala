@@ -28,9 +28,9 @@ final class Inter(val schema: IndexedSeq[String], val rows: mutable.ArrayBuffer[
   * aggregate, which is boxed into an [[Inter]] once.
   */
 final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig) {
-  def run(q: Query, planOverride: Option[Plan] = None): (Inter, QueryMetrics) = {
+  def run(q: Query): (Inter, QueryMetrics) = {
     val m = new QueryMetrics
-    val low = GrainPlanner.lower(q, planOverride.getOrElse(q.plan), cfg, cat)
+    val low = GrainPlanner.lower(q, q.plan, cfg, cat)
     val scanFilters = mutable.Map[String, mutable.ArrayBuffer[RowMask]]()
     low.mergedAway.foreach(m.scanned(_) = 0L)
 

@@ -12,11 +12,11 @@ import repro.core._
   * call, outside the loop. [[apply]] tests one row, for GraphflowSim's test
   * after an EXTEND.
   *
-  * Semantics are exactly those of [[Pred.eval]] over `ColData.any`: numeric
-  * comparisons go through `toDouble` (IEEE, so NaN fails every comparison
-  * but `<>`), a null string never matches, in-lists compare exactly and only
-  * against literals of the column's own type, and an incomparable
-  * column/literal pair fails when a row is tested, not when it is compiled.
+  * Semantics, over the values `ColData.any` gives: numeric comparisons go
+  * through `toDouble` (IEEE, so NaN fails every comparison but `<>`), a
+  * null string never matches, in-lists compare exactly and only against
+  * literals of the column's own type, and an incomparable column/literal
+  * pair fails when a row is tested, not when it is compiled.
   * AND and OR test each child only on the rows the children before it left
   * undecided, as `forall` and `exists` do. A string test compares
   * dictionary codes: [[StringCol]]'s dictionary is sorted, so a comparison

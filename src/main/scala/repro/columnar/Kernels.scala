@@ -28,36 +28,15 @@ object Scan {
     new ScanOut(trim(out, f.select(ids, ids.length, out)), ids.length.toLong, 0L)
   }
 
-  /** ScanSJ (§4): collect the set bits of the AND-ed row bitmask in RID
-    * order, finding each with `numberOfTrailingZeros` on the mask's words,
-    * so a zone with no set bit is never touched; then filter them. Every
-    * set bit is a row, so the rows scanned are the mask's cardinality.
-    * Zones are [[Bitmap.ZoneSize]] rows.
+  /** ScanSJ (§4): the set bits of the AND-ed row bitmask, in RID order,
+    * then filtered. A zone with no set bit is never touched; every set bit
+    * is a row, so the rows scanned are the mask's cardinality.
     */
   def setBits(numRows: Int, mask: RowMask, f: Filter): ScanOut = {
     require(mask.numRows == numRows, s"a mask over ${mask.numRows} rows cannot filter $numRows rows")
-    val zs = Bitmap.ZoneSize
-    val nZones = (numRows + zs - 1) / zs
-    val scanned = mask.cardinality
-    val out = new Array[Int](scanned)
-    val words = mask.words
-    var k = 0
-    var touched = 0L
-    var lastZone = -1
-    var w = 0
-    while (w < words.length) {
-      var bits = words(w)
-      while (bits != 0L) {
-        val i = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-        val z = i / zs
-        if (z != lastZone) { touched += 1; lastZone = z }
-        out(k) = i
-        k += 1
-        bits &= bits - 1
-      }
-      w += 1
-    }
-    new ScanOut(trim(out, f.select(out, scanned, out)), scanned.toLong, nZones - touched)
+    val out = mask.toArray
+    new ScanOut(trim(out, f.select(out, out.length, out)), out.length.toLong,
+      RowMask.zonesOf(numRows) - mask.zonesTouched)
   }
 
   private def trim(a: Array[Int], n: Int): Array[Int] =
@@ -234,23 +213,12 @@ object LongMultiMap {
 
 object Join {
   /** Hash join: the (build, probe) index pairs whose keys are equal, in
-    * probe order and then build order. Keys are compared as [[Pred.eval]]
-    * compares boxed values; long first keys go unboxed through a
-    * [[LongMultiMap]] sized for `pn` probes, and any further keys filter
-    * its pairs.
+    * probe order and then build order. The first keys go through a
+    * [[LongMultiMap]] sized for `pn` probes, and any further keys filter its
+    * pairs. Every key is a long column; any other fails, naming it.
     */
   def hash(bKeys: Seq[ColRef], bn: Int, pKeys: Seq[ColRef], pn: Int): (Array[Int], Array[Int]) = {
-    val (bk, pk) = (bKeys.head, pKeys.head)
-    val (li, ri) =
-      if (bk.isLong && pk.isLong) new LongMultiMap(bk, bn, pn).pairs(pk, pn)
-      else {
-        val ht = mutable.HashMap[Any, mutable.ArrayBuffer[Int]]()
-        (0 until bn).foreach(l => ht.getOrElseUpdate(bk.any(l), mutable.ArrayBuffer[Int]()) += l)
-        val li = new mutable.ArrayBuilder.ofInt
-        val ri = new mutable.ArrayBuilder.ofInt
-        (0 until pn).foreach(r => ht.get(pk.any(r)).foreach(_.foreach { l => li += l; ri += r }))
-        (li.result(), ri.result())
-      }
+    val (li, ri) = new LongMultiMap(longKey(bKeys.head), bn, pn).pairs(longKey(pKeys.head), pn)
     where(li, ri, bKeys.tail.zip(pKeys.tail).map { case (b, p) => eq(b, p) })
   }
 
@@ -273,10 +241,17 @@ object Join {
       (java.util.Arrays.copyOf(lo, n), java.util.Arrays.copyOf(ro, n))
     }
 
-  /** Row-pair equality of two columns, with boxed-value semantics. */
-  def eq(a: ColRef, b: ColRef): (Int, Int) => Boolean =
-    if (a.isLong && b.isLong) (i, j) => a.long(i) == b.long(j)
-    else (i, j) => a.any(i) == b.any(j)
+  /** Row-pair equality of two long columns; any other column fails,
+    * naming it. */
+  def eq(a: ColRef, b: ColRef): (Int, Int) => Boolean = {
+    longKey(a); longKey(b)
+    (i, j) => a.long(i) == b.long(j)
+  }
+
+  private def longKey(c: ColRef): ColRef = {
+    require(c.isLong, s"${c.name}: join keys must be long columns")
+    c
+  }
 
   /** Every (l, r) pair, l-major. */
   def cross(ln: Int, rn: Int): (Array[Int], Array[Int]) = {

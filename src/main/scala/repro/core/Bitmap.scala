@@ -8,23 +8,10 @@ import org.apache.spark.sql.functions.{col, udf}
   * RIDs are dense non-negative integers, so — unlike the bloom filters used
   * by value-based sip — membership is exact: one bit per row of P (the *row
   * bitmask*, a [[RowMask]]) plus one bit per fixed-size block of rows (the
-  * *zone bitmask*, derived from the row bitmask since zone = rid / zoneSize).
+  * *zone bitmask*, derived from the row bitmask since zone = rid /
+  * [[RowMask.ZoneSize]]).
   */
 object Bitmap {
-  /** Paper example uses zones of 2; DuckDB rowgroups are ~120K. 1024 keeps
-    * the zone accounting meaningful at our SF≈0.1 table sizes. Mutable so
-    * unit tests can exercise zone skipping on tiny tables (serial test runs;
-    * restore via [[withZoneSize]]).
-    */
-  var ZoneSize: Int = 1024
-
-  /** Run `body` under a temporary zone size (tests only). */
-  def withZoneSize[A](zs: Int)(body: => A): A = {
-    val old = ZoneSize
-    ZoneSize = zs
-    try body finally ZoneSize = old
-  }
-
   /** The row bitmask of a RID column's values, over the `numRows` rows of
     * the table the RIDs point into: each partition fills its own word array
     * and the collected arrays are ORed. This is the hash-join build phase

@@ -67,15 +67,19 @@ final case class Query(
     val fromJoin = joins.filter(_.touches(alias)).map(_.colOf(alias))
     (fromOut ++ fromAgg ++ fromPred ++ fromJoin).distinct
   }
-
-  /** Final output column names, identical across engines and the oracle. */
-  def outputNames: Seq[String] = agg match {
-    case Some(a) => a.groupBy.map(_.name) ++ a.aggs.map(_.as)
-    case None    => out.map(_.name)
-  }
 }
 
 object QueryIR {
+  /** Whether column `c` of `df` is floating-point (double, float or
+    * decimal). [[SparkExec]] and the oracle's SQL sum and average such a
+    * column over integer cents, so that the result does not depend on
+    * summation order. */
+  def isFloatCol(df: DataFrame, c: String): Boolean =
+    df.schema.fields.find(_.name == c).exists(f => f.dataType match {
+      case DoubleType | FloatType | _: DecimalType => true
+      case _                                       => false
+    })
+
   def leftDeep(aliases: Seq[String]): Plan =
     aliases.tail.foldLeft[Plan](Lf(aliases.head))((acc, a) => Jn(acc, Lf(a)))
 
@@ -84,22 +88,16 @@ object QueryIR {
     * (used to decide which output/agg columns are floating-point).
     */
   def toSql(q: Query, schemas: Map[String, DataFrame]): String = {
-    def isFloat(alias: String, c: String): Boolean = {
-      val df = schemas(q.ref(alias).table)
-      df.schema.fields.find(_.name == c).exists(f => f.dataType match {
-        case DoubleType | FloatType | _: DecimalType => true
-        case _                                       => false
-      })
-    }
+    def isFloat(oc: OutCol): Boolean = isFloatCol(schemas(q.ref(oc.alias).table), oc.col)
     def castOut(oc: OutCol): String =
-      if (isFloat(oc.alias, oc.col)) s"CAST(${oc.alias}.${oc.col} AS DOUBLE)"
+      if (isFloat(oc)) s"CAST(${oc.alias}.${oc.col} AS DOUBLE)"
       else s"${oc.alias}.${oc.col}"
     def aggSql(a: AggExpr): String = a.fn match {
       case "countstar" => s"COUNT(*) AS ${a.as}"
       case "count"     => s"COUNT(${a.of.get.alias}.${a.of.get.col}) AS ${a.as}"
       case fn =>
         val oc = a.of.get
-        val floatCol = isFloat(oc.alias, oc.col)
+        val floatCol = isFloat(oc)
         // match SparkExec: floating sums/avgs go through exact integer cents
         // (order-independent); min/max over string columns stay uncast.
         if ((fn == "sum" || fn == "avg") && floatCol) {

@@ -3,7 +3,8 @@ package repro.core
 /** A dense row bitmask (§4): one bit per row of the table it filters, packed
   * into 64-bit words. Bit `i` is row `i`, i.e. RID `i`, so a mask over a
   * table of `numRows` rows holds `ceil(numRows / 64)` words and no bit at or
-  * above `numRows` is ever set.
+  * above `numRows` is ever set. The zone bitmask is derived from it: zone
+  * `z` holds rows `[z * ZoneSize, (z + 1) * ZoneSize)`.
   */
 final class RowMask(val numRows: Int, val words: Array[Long]) {
   require(words.length == RowMask.wordsFor(numRows), s"$numRows rows need ${RowMask.wordsFor(numRows)} words")
@@ -49,6 +50,20 @@ final class RowMask(val numRows: Int, val words: Array[Long]) {
     while (w < words.length) { words(w) |= o.words(w); w += 1 }
   }
 
+  /** How many zones hold a set row. A zone is `ZoneSize / 64` words, the
+    * last one possibly partial. */
+  def zonesTouched: Int = {
+    var n = 0
+    var w = 0
+    while (w < words.length) {
+      val end = math.min(w + RowMask.ZoneWords, words.length)
+      var any = 0L
+      while (w < end) { any |= words(w); w += 1 }
+      if (any != 0L) n += 1
+    }
+    n
+  }
+
   /** The set rows, ascending. */
   def toArray: Array[Int] = {
     val out = new Array[Int](cardinality)
@@ -68,6 +83,15 @@ final class RowMask(val numRows: Int, val words: Array[Long]) {
 }
 
 object RowMask {
+  /** Rows per zone. The paper's example uses zones of 2 and DuckDB's row
+    * groups hold about 120K rows; 1024 keeps the zone accounting meaningful
+    * at our table sizes. A zone is a whole number of words. */
+  final val ZoneSize = 1024
+  private val ZoneWords = ZoneSize >>> 6
+
+  /** The zones of a table of `numRows` rows, the last one possibly partial. */
+  def zonesOf(numRows: Int): Int = (numRows + ZoneSize - 1) / ZoneSize
+
   def wordsFor(numRows: Int): Int = {
     require(numRows >= 0, s"negative row count $numRows")
     (numRows + 63) >>> 6

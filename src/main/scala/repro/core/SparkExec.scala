@@ -19,11 +19,11 @@ import scala.collection.mutable
   * SJoinIdxR steps on an estimate of their benefit.
   */
 final class SparkExec(cat: GrainCatalog, cfg: GrainConfig) {
-  def run(q: Query, planOverride: Option[Plan] = None): (DataFrame, QueryMetrics) = {
+  def run(q: Query): (DataFrame, QueryMetrics) = {
     val m = new QueryMetrics
     val persisted = mutable.ArrayBuffer[DataFrame]()
     try {
-      val low = GrainPlanner.lower(q, planOverride.getOrElse(q.plan), cfg, cat)
+      val low = GrainPlanner.lower(q, q.plan, cfg, cat)
       val scanFilters = mutable.Map[String, mutable.ArrayBuffer[RowMask]]()
       low.mergedAway.foreach(m.scanned(_) = 0L) // merged relationships are never scanned
 
@@ -150,12 +150,7 @@ final class SparkExec(cat: GrainCatalog, cfg: GrainConfig) {
       val result = q.agg match {
         case None => spj.select(q.out.map(oc => col(oc.name)): _*)
         case Some(a) =>
-          def isFloatCol(oc: OutCol): Boolean = {
-            val df = cat.raw(q.ref(oc.alias).table)
-            df.schema.fields.find(_.name == oc.col).exists(f =>
-              f.dataType.typeName == "double" || f.dataType.typeName == "float" ||
-                f.dataType.typeName.startsWith("decimal"))
-          }
+          def isFloat(oc: OutCol): Boolean = QueryIR.isFloatCol(cat.raw(q.ref(oc.alias).table), oc.col)
           // Floating sums/avgs are computed over integer cents so the result
           // is exact and independent of summation order — otherwise Spark and
           // the DuckDB oracle disagree in the last digit.
@@ -164,10 +159,10 @@ final class SparkExec(cat: GrainCatalog, cfg: GrainConfig) {
             ae.fn match {
               case "countstar" => count(lit(1)).as(ae.as)
               case "count"     => count(col(ae.of.get.name)).as(ae.as)
-              case "sum" if isFloatCol(ae.of.get) =>
+              case "sum" if isFloat(ae.of.get) =>
                 round(sum(cents(ae.of.get)), 0).cast("long").as(ae.as)
               case "sum"       => sum(col(ae.of.get.name)).as(ae.as)
-              case "avg" if isFloatCol(ae.of.get) =>
+              case "avg" if isFloat(ae.of.get) =>
                 round(avg(cents(ae.of.get)), 0).cast("long").as(ae.as)
               case "avg"       => round(avg(col(ae.of.get.name)), 1).as(ae.as)
               case "min"       => min(col(ae.of.get.name)).as(ae.as)

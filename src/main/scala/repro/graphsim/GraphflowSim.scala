@@ -29,9 +29,9 @@ final class GfMetrics {
   */
 final class GraphflowSim(store: ColumnStore) {
 
-  def run(q: Query, orderOverride: Option[Seq[String]] = None): (Inter, GfMetrics) = {
+  def run(q: Query): (Inter, GfMetrics) = {
     val m = new GfMetrics
-    val order = orderOverride.orElse(q.gfOrder).getOrElse(q.refs.map(_.alias))
+    val order = q.gfOrder.getOrElse(q.refs.map(_.alias))
     require(order.toSet == q.refs.map(_.alias).toSet, s"${q.name}: bad INLJ order")
     require(q.agg.isEmpty, "graphsim runs SPJ queries only (SNB-M)")
 

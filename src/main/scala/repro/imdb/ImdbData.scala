@@ -5,7 +5,6 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import repro.SynthData
 import repro.core.{GrainCatalog, PredefJoin}
-import repro.columnar.ColumnStore
 import scala.collection.immutable.ListMap
 
 /** Synthetic IMDB-lite generator for the Join Order Benchmark (substitute
@@ -226,7 +225,4 @@ object ImdbData {
 
   def catalog(spark: SparkSession, s: Double, seed: Long = 11): GrainCatalog =
     GrainCatalog.build(spark, tables(spark, s, seed).toSeq, pks, predefs, extendedPairs)
-
-  /** Serial-engine column store over the extended tables. */
-  def store(cat: GrainCatalog): ColumnStore = ColumnStore.of(cat)
 }

@@ -5,7 +5,6 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import repro.SynthData
 import repro.core.{GrainCatalog, PredefJoin}
-import repro.columnar.ColumnStore
 import scala.collection.immutable.ListMap
 
 /** Synthetic LDBC SNB-lite generator (substitute for SNB SF10/30, see
@@ -198,7 +197,4 @@ object LdbcData {
   /** Full GRainDB catalog: registered, predefined, frozen, indexed. */
   def catalog(spark: SparkSession, s: Double, seed: Long = 7): GrainCatalog =
     GrainCatalog.build(spark, tables(spark, s, seed).toSeq, pks, predefs, extendedPairs)
-
-  /** Serial-engine column store over the extended tables. */
-  def store(cat: GrainCatalog): ColumnStore = ColumnStore.of(cat)
 }

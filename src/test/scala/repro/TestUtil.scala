@@ -4,31 +4,15 @@ import org.apache.spark.sql.DataFrame
 import repro.columnar.Inter
 import repro.core._
 
-/** Cross-engine result canonicalization: rows → sorted Seq of string-vectors
-  * using the same normalization as [[Oracle]] (doubles to 6 decimals, nulls
-  * as ∅), with columns sorted by name so engines may emit columns in any
-  * order.
+/** Cross-engine results in [[Oracle.canon]]'s form, so engines may emit
+  * columns and rows in any order.
   */
 object Canon {
-  def cell(v: Any): String = v match {
-    case null                     => "∅"
-    case d: Double                => f"$d%.6f"
-    case f: Float                 => f"${f.toDouble}%.6f"
-    case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"
-    case x                        => x.toString
-  }
-
-  def of(cols: Seq[String], rows: Seq[Seq[Any]]): Seq[Seq[String]] = {
-    val order = cols.sorted
-    val idx   = order.map(cols.indexOf(_))
-    rows.map(r => idx.map(i => cell(r(i)))).sortBy(_.mkString(""))
-  }
-
   def ofDf(df: DataFrame): Seq[Seq[String]] =
-    of(df.columns.toSeq, df.collect().toSeq.map(_.toSeq))
+    Oracle.canon(df.columns.toSeq, df.collect().toSeq.map(_.toSeq))
 
   def ofInter(in: Inter): Seq[Seq[String]] =
-    of(in.schema, in.rows.toSeq.map(_.toSeq))
+    Oracle.canon(in.schema, in.rows.toSeq.map(_.toSeq))
 }
 
 /** (sipFilters, reverseSemijoins, mergedJoins, ridJoins): how many SJoin,
@@ -49,11 +33,11 @@ object StepCounts {
 
 /** Views of the engine's structures that only the suites read. */
 object Inspect {
-  /** The zone bitmask (§4): one bit per [[Bitmap.ZoneSize]]-row zone of the
+  /** The zone bitmask (§4): one bit per [[RowMask.ZoneSize]]-row zone of the
     * table, set when the zone holds at least one set row. */
   def zones(m: RowMask): RowMask = {
-    val zs = Bitmap.ZoneSize
-    val z = new RowMask((m.numRows + zs - 1) / zs)
+    val zs = RowMask.ZoneSize
+    val z = new RowMask(RowMask.zonesOf(m.numRows))
     m.toArray.foreach(i => z.set(i / zs))
     z
   }

@@ -10,7 +10,7 @@ import repro.ldbc.{LdbcData, SnbQueries}
 class ColumnarExecSpec extends SparkSpec {
 
   private lazy val cat   = LdbcData.catalog(spark, 0.02)
-  private lazy val store = LdbcData.store(cat)
+  private lazy val store = ColumnStore.of(cat)
   private lazy val sc    = LdbcData.scale(0.02)
   private def q(name: String): Query = SnbQueries.queries(sc).find(_.name == name).get
 
@@ -21,11 +21,11 @@ class ColumnarExecSpec extends SparkSpec {
   }
 
   test("grain config physically skips zones on sip-filtered scans") {
-    Bitmap.withZoneSize(8) {
-      val (_, m) = new ColumnarExec(store, cat, GrainConfig.Full).run(q("IC2"))
-      assert(m.scanned("c") < cat.rows("comment"))
-      assert(m.zonesSkipped > 0)
-    }
+    // one person's comments: the reverse semijoin leaves a 1024-row zone of
+    // comment without a set bit
+    val (_, m) = new ColumnarExec(store, cat, GrainConfig.Full).run(q("IS2"))
+    assert(m.scanned("m1") < cat.rows("comment"))
+    assert(m.zonesSkipped > 0)
   }
 
   test("point lookups use the PK index instead of scanning (IS4)") {

@@ -27,22 +27,22 @@ class KernelsSpec extends AnyFunSuite {
   private def same(a: Try[Seq[Int]], b: Try[Seq[Int]]): Boolean =
     a.isFailure && b.isFailure || a.toOption == b.toOption
 
-  /** [[Pred.eval]]'s rows among `rows` of `tab`, in order; it fails when
-    * any of them fails. */
+  /** [[PredReference.eval]]'s rows among `rows` of `tab`, in order; it
+    * fails when any of them fails. */
   private def evalRows(p: Pred, tab: TableData, rows: Seq[Int]): Try[Seq[Int]] =
-    Try(rows.filter(r => Pred.eval(p, c => tab.col(c).any(r))))
+    Try(rows.filter(r => PredReference.eval(p, c => tab.col(c).any(r))))
 
   /** The filter's `select` into a fresh vector. */
   private def selected(f: Filter, rows: Array[Int]): Try[Seq[Int]] =
     Try { val out = new Array[Int](rows.length); out.take(f.select(rows, rows.length, out)).toSeq }
 
-  /** The filter and [[Pred.eval]] agree on every row of `t`, one row at a
-    * time (same result, or both fail: incomparable column and literal) and
-    * as one selection vector. */
+  /** The filter and [[PredReference.eval]] agree on every row of `t`, one
+    * row at a time (same result, or both fail: incomparable column and
+    * literal) and as one selection vector. */
   private def agrees(p: Pred): Boolean = {
     val f = Filter(p, t)
     val perRow = (0 until t.numRows).forall { r =>
-      val want = Try(Pred.eval(p, c => t.col(c).any(r)))
+      val want = Try(PredReference.eval(p, c => t.col(c).any(r)))
       val got  = Try(f(r))
       want.isFailure && got.isFailure || want.toOption == got.toOption
     }
@@ -86,7 +86,7 @@ class KernelsSpec extends AnyFunSuite {
     val prop = Prop.forAll(gen) { case (a, p) =>
       val st = new TableData("st", IndexedSeq("s"), IndexedSeq(StringCol(a)), a.length)
       val f = Filter(p, st)
-      a.indices.forall(r => f(r) == Pred.eval(p, _ => a(r))) &&
+      a.indices.forall(r => f(r) == PredReference.eval(p, _ => a(r))) &&
         same(selected(f, a.indices.toArray), evalRows(p, st, a.indices))
     }
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300)
@@ -99,7 +99,7 @@ class KernelsSpec extends AnyFunSuite {
     for (p <- Seq(Pred.eqS("s", "a"), Pred.neS("s", "a"))) {
       val f = Filter(p, t)
       assert(selected(f, all) == evalRows(p, t, all.toSeq), p)
-      for (r <- all) assert(f(r) == Pred.eval(p, c => t.col(c).any(r)), s"$p at row $r")
+      for (r <- all) assert(f(r) == PredReference.eval(p, c => t.col(c).any(r)), s"$p at row $r")
     }
   }
 
@@ -171,17 +171,16 @@ class KernelsSpec extends AnyFunSuite {
       inIds <- Gen.listOfN(n, Gen.oneOf(true, false))
       order <- Gen.listOfN(n, Gen.choose(0, 1000))
       bits  <- Gen.listOfN(n, Gen.oneOf(true, false))
-      zs    <- Gen.choose(1, 16)
     } yield (new TableData("r", IndexedSeq("l", "d", "s"),
       IndexedSeq(LongCol(ls.toArray), DoubleCol(ds.toArray), StringCol(ss.toArray)), n), p,
-      (0 until n).filter(inIds(_)).sortBy(order(_)).toArray, bits.indices.filter(bits(_)), zs)
-    val prop = Prop.forAll(gen) { case (tab, p, ids, setRows, zs) =>
+      (0 until n).filter(inIds(_)).sortBy(order(_)).toArray, bits.indices.filter(bits(_)))
+    val prop = Prop.forAll(gen) { case (tab, p, ids, setRows) =>
       val n = tab.numRows
       val f = Filter(p, tab)
       val mask = new RowMask(n)
       setRows.foreach(r => mask.add(r.toLong, "r.__rid"))
-      val bySetBits = Try(Bitmap.withZoneSize(zs)(Scan.setBits(n, mask, f)))
-      val (zoneRows, zoneScanned, zoneSkipped) = Bitmap.withZoneSize(zs)(zoneLoop(n, mask))
+      val bySetBits = Try(Scan.setBits(n, mask, f))
+      val (zoneRows, zoneScanned, zoneSkipped) = zoneLoop(n, mask)
       Prop(same(Try(Scan.all(n, f).rows.toSeq), evalRows(p, tab, 0 until n))) :| "Scan.all" &&
         Prop(same(Try(Scan.rows(ids, f).rows.toSeq), evalRows(p, tab, ids.toSeq))) :| "Scan.rows" &&
         Prop(same(bySetBits.map(_.rows.toSeq), evalRows(p, tab, zoneRows))) :| "Scan.setBits" &&
@@ -202,8 +201,8 @@ class KernelsSpec extends AnyFunSuite {
     * row, testing each row against the bitmask; the rest are skipped. */
   private def zoneLoop(numRows: Int, combined: RowMask): (Seq[Int], Long, Long) = {
     val zones = Inspect.zones(combined)
-    val zs = Bitmap.ZoneSize
-    val nZones = (numRows + zs - 1) / zs
+    val zs = RowMask.ZoneSize
+    val nZones = RowMask.zonesOf(numRows)
     val rows = Seq.newBuilder[Int]
     var skipped = 0L
     for (z <- 0 until nZones) {
@@ -216,34 +215,36 @@ class KernelsSpec extends AnyFunSuite {
   }
 
   test("set-bit ScanSJ keeps the zone loop's scanned and zonesSkipped counts") {
-    Bitmap.withZoneSize(4) {
-      // 7 rows: zones {0..3} and the partial {4..6, 7 is past the end}
-      val cases = Seq(
-        "bits in a few zones"       -> bm(1, 2, 5),
-        "one bit per zone"          -> bm(0, 6),
-        "empty bitmask"             -> bm())
-      for ((name, b) <- cases) {
-        val out = Scan.setBits(t.numRows, b, Scan.NoPred)
-        val (rows, scanned, skipped) = zoneLoop(t.numRows, b)
-        assert(out.scanned == scanned, name)
-        assert(out.zonesSkipped == skipped, name)
-        assert(out.rows.toSeq == rows, name)
-      }
-      assert(Scan.setBits(t.numRows, bm(), Scan.NoPred).zonesSkipped == 2)
+    // 3000 rows: zones [0, 1024), [1024, 2048) and the partial [2048, 3000)
+    val n = 3000
+    def of(xs: Int*): RowMask = { val m = new RowMask(n); xs.foreach(x => m.add(x.toLong, "r.__rid")); m }
+    val cases = Seq(
+      "bits in a few zones"      -> of(1, 2, 1023, 2048),
+      "one bit per zone"         -> of(0, 1024, 2999),
+      "zone edges"               -> of(1023, 1024, 2047),
+      "last, partial zone only"  -> of(2048, 2999),
+      "every row"                -> of(0 until n: _*),
+      "empty bitmask"            -> of())
+    for ((name, b) <- cases) {
+      val out = Scan.setBits(n, b, Scan.NoPred)
+      val (rows, scanned, skipped) = zoneLoop(n, b)
+      assert(out.scanned == scanned, name)
+      assert(out.zonesSkipped == skipped, name)
+      assert(out.rows.toSeq == rows, name)
     }
+    assert(Scan.setBits(n, of(2048, 2999), Scan.NoPred).zonesSkipped == 2)
+    assert(Scan.setBits(n, of(), Scan.NoPred).zonesSkipped == 3)
   }
 
   test("set-bit ScanSJ tests the predicate on the rows it scans only") {
-    Bitmap.withZoneSize(4) {
-      val p = Filter(Pred.eqS("s", "a"), t)
-      val out = Scan.setBits(t.numRows, bm(0, 2, 3, 5, 6), p)
-      assert(out.rows.toSeq == Seq(2, 5))
-      assert(out.scanned == 5)
-      // the incomparable test fails on any non-null row it is given
-      val failing = Filter(OrP(Seq(Pred.eqS("s", "a"), Cmp("s", OpLt, LL(3)))), t)
-      assert(Scan.setBits(t.numRows, bm(0, 2, 5, 6), failing).rows.toSeq == Seq(2, 5))
-      intercept[RuntimeException](Scan.setBits(t.numRows, bm(0, 2, 3), failing))
-    }
+    val p = Filter(Pred.eqS("s", "a"), t)
+    val out = Scan.setBits(t.numRows, bm(0, 2, 3, 5, 6), p)
+    assert(out.rows.toSeq == Seq(2, 5))
+    assert(out.scanned == 5)
+    // the incomparable test fails on any non-null row it is given
+    val failing = Filter(OrP(Seq(Pred.eqS("s", "a"), Cmp("s", OpLt, LL(3)))), t)
+    assert(Scan.setBits(t.numRows, bm(0, 2, 5, 6), failing).rows.toSeq == Seq(2, 5))
+    intercept[RuntimeException](Scan.setBits(t.numRows, bm(0, 2, 3), failing))
   }
 
   test("hash join pairs equal keys in probe order, then build order") {
@@ -251,9 +252,19 @@ class KernelsSpec extends AnyFunSuite {
     val (li, ri) = Join.hash(Seq(rel.col("a", "l")), rel.size, Seq(rel.col("a", "l")), rel.size)
     val want = for (r <- 0 until 7; l <- 0 until 7 if t.col("l").any(l) == t.col("l").any(r)) yield (l, r)
     assert(li.toSeq.zip(ri.toSeq) == want)
-    // a string key takes the boxed path: null joins null, as boxed equality does
-    val (ls, rs) = Join.hash(Seq(rel.col("a", "s")), rel.size, Seq(rel.col("a", "s")), rel.size)
-    assert(ls.zip(rs).count { case (l, r) => t.col("s").any(l) == null && l != r } == 2)
+  }
+
+  test("a join on a non-long key fails, naming the column") {
+    val rel = Rel.leaf("a", t, Array.range(0, t.numRows))
+    val (l, s, d) = (rel.col("a", "l"), rel.col("a", "s"), rel.col("a", "d"))
+    def fails(body: => Any, col: String): Unit = {
+      val e = intercept[IllegalArgumentException](body)
+      assert(e.getMessage.contains(s"$col: join keys must be long columns"), e.getMessage)
+    }
+    fails(Join.hash(Seq(s), rel.size, Seq(l), rel.size), "t.s")
+    fails(Join.hash(Seq(l), rel.size, Seq(d), rel.size), "t.d")
+    fails(Join.hash(Seq(l, s), rel.size, Seq(l, l), rel.size), "t.s")
+    fails(Join.eq(l, d), "t.d")
   }
 
   test("Join.where keeps the pairs on which every condition holds, in order") {

@@ -31,8 +31,10 @@ class BitmapSpec extends SparkSpec {
   }
 
   test("zones projects RIDs to zone numbers") {
-    val z = Inspect.zones(bm(6 * Bitmap.ZoneSize)(0, 1, Bitmap.ZoneSize - 1, Bitmap.ZoneSize, 5 * Bitmap.ZoneSize))
-    assert(z.toArray.toSeq == Seq(0, 1, 5))
+    val zs = RowMask.ZoneSize
+    val m = bm(6 * zs)(0, 1, zs - 1, zs, 5 * zs)
+    assert(Inspect.zones(m).toArray.toSeq == Seq(0, 1, 5))
+    assert(m.zonesTouched == 3)
   }
 
   test("fromColumn collects non-negative RIDs, skipping -1 (dangling)") {

@@ -16,44 +16,44 @@ class PredSpec extends AnyFunSuite {
   private def row(m: (String, Any)*): String => Any = m.toMap
 
   test("numeric comparisons") {
-    assert(Pred.eval(eqL("x", 5), row("x" -> 5L)))
-    assert(!Pred.eval(eqL("x", 5), row("x" -> 6L)))
-    assert(Pred.eval(lt("x", 5), row("x" -> 4L)))
-    assert(!Pred.eval(lt("x", 5), row("x" -> 5L)))
-    assert(Pred.eval(le("x", 5), row("x" -> 5L)))
-    assert(Pred.eval(gt("x", 5), row("x" -> 6L)))
-    assert(Pred.eval(ge("x", 5), row("x" -> 5L)))
+    assert(PredReference.eval(eqL("x", 5), row("x" -> 5L)))
+    assert(!PredReference.eval(eqL("x", 5), row("x" -> 6L)))
+    assert(PredReference.eval(lt("x", 5), row("x" -> 4L)))
+    assert(!PredReference.eval(lt("x", 5), row("x" -> 5L)))
+    assert(PredReference.eval(le("x", 5), row("x" -> 5L)))
+    assert(PredReference.eval(gt("x", 5), row("x" -> 6L)))
+    assert(PredReference.eval(ge("x", 5), row("x" -> 5L)))
   }
 
   test("double vs long comparisons coerce") {
-    assert(Pred.eval(Cmp("x", OpLt, LD(4.5)), row("x" -> 4L)))
-    assert(Pred.eval(Cmp("x", OpGt, LL(4)), row("x" -> 4.5)))
+    assert(PredReference.eval(Cmp("x", OpLt, LD(4.5)), row("x" -> 4L)))
+    assert(PredReference.eval(Cmp("x", OpGt, LL(4)), row("x" -> 4.5)))
   }
 
   test("string comparisons are lexicographic") {
-    assert(Pred.eval(geS("s", "B"), row("s" -> "Bob")))
-    assert(!Pred.eval(ltS("s", "B"), row("s" -> "Bob")))
-    assert(Pred.eval(eqS("s", "x"), row("s" -> "x")))
-    assert(Pred.eval(neS("s", "x"), row("s" -> "y")))
+    assert(PredReference.eval(geS("s", "B"), row("s" -> "Bob")))
+    assert(!PredReference.eval(ltS("s", "B"), row("s" -> "Bob")))
+    assert(PredReference.eval(eqS("s", "x"), row("s" -> "x")))
+    assert(PredReference.eval(neS("s", "x"), row("s" -> "y")))
   }
 
   test("in-list, and, or") {
-    assert(Pred.eval(inS("s", "a", "b"), row("s" -> "b")))
-    assert(!Pred.eval(inS("s", "a", "b"), row("s" -> "c")))
-    assert(Pred.eval(inL("x", 1, 2), row("x" -> 2L)))
-    assert(Pred.eval(and(eqL("x", 1), eqS("s", "a")), row("x" -> 1L, "s" -> "a")))
-    assert(!Pred.eval(and(eqL("x", 1), eqS("s", "b")), row("x" -> 1L, "s" -> "a")))
-    assert(Pred.eval(or(eqL("x", 9), eqS("s", "a")), row("x" -> 1L, "s" -> "a")))
+    assert(PredReference.eval(inS("s", "a", "b"), row("s" -> "b")))
+    assert(!PredReference.eval(inS("s", "a", "b"), row("s" -> "c")))
+    assert(PredReference.eval(inL("x", 1, 2), row("x" -> 2L)))
+    assert(PredReference.eval(and(eqL("x", 1), eqS("s", "a")), row("x" -> 1L, "s" -> "a")))
+    assert(!PredReference.eval(and(eqL("x", 1), eqS("s", "b")), row("x" -> 1L, "s" -> "a")))
+    assert(PredReference.eval(or(eqL("x", 9), eqS("s", "a")), row("x" -> 1L, "s" -> "a")))
   }
 
   test("between is inclusive-lo exclusive-hi") {
-    assert(Pred.eval(between("x", 3, 5), row("x" -> 3L)))
-    assert(Pred.eval(between("x", 3, 5), row("x" -> 4L)))
-    assert(!Pred.eval(between("x", 3, 5), row("x" -> 5L)))
+    assert(PredReference.eval(between("x", 3, 5), row("x" -> 3L)))
+    assert(PredReference.eval(between("x", 3, 5), row("x" -> 4L)))
+    assert(!PredReference.eval(between("x", 3, 5), row("x" -> 5L)))
   }
 
   test("null never matches") {
-    assert(!Pred.eval(eqS("s", "a"), row("s" -> null)))
+    assert(!PredReference.eval(eqS("s", "a"), row("s" -> null)))
   }
 
   test("SQL generation casts numerics over VARCHAR oracle columns") {
@@ -69,16 +69,16 @@ class PredSpec extends AnyFunSuite {
   test("property: long comparison agrees with Ordering[Long]") {
     check(Prop.forAll { (x0: Int, y0: Int) =>
       val (x, y) = (x0.toLong, y0.toLong)
-      Pred.eval(Cmp("c", OpLt, LL(y)), row("c" -> x)) == (x < y) &&
-        Pred.eval(Cmp("c", OpGe, LL(y)), row("c" -> x)) == (x >= y) &&
-        Pred.eval(Cmp("c", OpEq, LL(y)), row("c" -> x)) == (x == y)
+      PredReference.eval(Cmp("c", OpLt, LL(y)), row("c" -> x)) == (x < y) &&
+        PredReference.eval(Cmp("c", OpGe, LL(y)), row("c" -> x)) == (x >= y) &&
+        PredReference.eval(Cmp("c", OpEq, LL(y)), row("c" -> x)) == (x == y)
     })
   }
 
   test("property: in-list equals set membership") {
     check(Prop.forAll { (x: Long, ys: List[Long]) =>
       ys.isEmpty ||
-        Pred.eval(InList("c", ys.map(LL(_))), row("c" -> x)) == ys.contains(x)
+        PredReference.eval(InList("c", ys.map(LL(_))), row("c" -> x)) == ys.contains(x)
     })
   }
 

@@ -87,20 +87,24 @@ class RowMaskSpec extends AnyFunSuite {
     })
   }
 
-  test("property: the set-bit scan matches the RoaringBitmap scan for zone sizes 1-64") {
+  test("property: the set-bit scan matches the RoaringBitmap scan over tables of up to 5 zones") {
+    val zs = RowMask.ZoneSize
     val gen = for {
-      numRows <- Gen.frequency(1 -> Gen.oneOf(0, 1, 63, 64, 65, 128), 4 -> Gen.choose(0, 300))
-      zs      <- Gen.choose(1, 64)
-      rows    <- subset(numRows)
+      numRows <- Gen.frequency(
+        1 -> Gen.oneOf(0, 1, 63, 64, 65, zs - 1, zs, zs + 1, 2 * zs - 1, 2 * zs + 1, 5 * zs),
+        4 -> Gen.choose(0, 5 * zs))
+      // now and then the rows of one zone only
+      rows    <- Gen.frequency(3 -> subset(numRows), 1 -> Gen.choose(0, 4).flatMap(z =>
+                   subset(numRows).map(_.filter(_ / zs == z))))
       salt    <- Gen.choose(0, 2)
-    } yield (numRows, zs, rows, salt)
-    check(Prop.forAll(gen) { case (numRows, zs, rows, salt) =>
+    } yield (numRows, rows, salt)
+    check(Prop.forAll(gen) { case (numRows, rows, salt) =>
       val pred: Int => Boolean = i => (i + salt) % 3 != 0
       // the same test as a filter: x(i) = (i + salt) % 3, x <> 0
       val x = Array.tabulate(numRows)(i => ((i + salt) % 3).toLong)
       val t = new TableData("t", IndexedSeq("x"), IndexedSeq(LongCol(x)), numRows)
       val f = Filter(Cmp("x", OpNe, LL(0L)), t)
-      val out = Bitmap.withZoneSize(zs)(Scan.setBits(numRows, mask(numRows, rows), f))
+      val out = Scan.setBits(numRows, mask(numRows, rows), f)
       val (refRows, refScanned, refSkipped) =
         RoaringReference.setBits(numRows, RoaringReference.of(rows), zs, pred)
       out.rows.toSeq == refRows && out.scanned == refScanned && out.zonesSkipped == refSkipped

@@ -3,7 +3,7 @@ package repro.core
 import repro.{Canon, SparkSpec}
 import repro.ldbc.{LdbcData, SnbQueries}
 
-/** Spark executor behaviour: sip events, scan accounting, plan overrides. */
+/** Spark executor behaviour: sip events, scan accounting, pinned plans. */
 class SparkExecSpec extends SparkSpec {
 
   private lazy val cat = LdbcData.catalog(spark, 0.02)
@@ -18,24 +18,19 @@ class SparkExecSpec extends SparkSpec {
   }
 
   test("grain mode fires reverse semijoins and reduces comment scans on IS2") {
-    // zone size 8: the tiny test tables span many zones, so skipping shows
-    Bitmap.withZoneSize(8) {
-      val (_, m) = new SparkExec(cat, GrainConfig.Full).run(q("IS2"))
-      assert(m.reverseSemijoins >= 1)
-      assert(m.scanned("m1") < cat.rows("comment"))
-      assert(m.ridJoins > 0)
-    }
+    val (_, m) = new SparkExec(cat, GrainConfig.Full).run(q("IS2"))
+    assert(m.reverseSemijoins >= 1)
+    assert(m.scanned("m1") < cat.rows("comment"))
+    assert(m.ridJoins > 0)
   }
 
   test("rid-only config performs forward sip but no reverse semijoins") {
-    Bitmap.withZoneSize(8) {
-      val (_, m) = new SparkExec(cat, GrainConfig.RidOnly).run(q("IS2"))
-      assert(m.reverseSemijoins == 0)
-      assert(m.mergedJoins == 0)
-      // forward sip still fires: m1 (build, FK side) passes to post scan
-      assert(m.sipFilters >= 1)
-      assert(m.scanned("m2") < cat.rows("post"))
-    }
+    val (_, m) = new SparkExec(cat, GrainConfig.RidOnly).run(q("IS2"))
+    assert(m.reverseSemijoins == 0)
+    assert(m.mergedJoins == 0)
+    // forward sip still fires: m1 (build, FK side) passes to post scan
+    assert(m.sipFilters >= 1)
+    assert(m.scanned("m2") < cat.rows("post"))
   }
 
   test("join merging drops the relationship scan entirely on IC1-1") {
@@ -61,7 +56,7 @@ class SparkExecSpec extends SparkSpec {
     val default = Canon.ofDf(exec.run(query)._1)
     // reversed order: person2 side first
     val alt = Jn(Jn(Lf("p2"), Lf("k")), Lf("p1"))
-    assert(Canon.ofDf(exec.run(query, Some(alt))._1) == default)
+    assert(Canon.ofDf(exec.run(query.copy(planOpt = Some(alt)))._1) == default)
   }
 
   test("single-table query needs no joins") {

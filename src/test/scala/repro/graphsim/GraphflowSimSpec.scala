@@ -3,14 +3,14 @@ package repro.graphsim
 import repro.SparkSpec
 import repro.core._
 import repro.core.Pred._
-import repro.columnar.ColumnarExec
+import repro.columnar.{ColumnStore, ColumnarExec}
 import repro.ldbc.{LdbcData, SnbQueries}
 
 /** GDBMS-simulator behaviour — the §7.2.2 / §7.3.2 access-pattern story. */
 class GraphflowSimSpec extends SparkSpec {
 
   private lazy val cat   = LdbcData.catalog(spark, 0.02)
-  private lazy val store = LdbcData.store(cat)
+  private lazy val store = ColumnStore.of(cat)
   private lazy val sc    = LdbcData.scale(0.02)
   private def q(name: String): Query = SnbQueries.queries(sc).find(_.name == name).get
 
@@ -56,9 +56,9 @@ class GraphflowSimSpec extends SparkSpec {
 
   test("an explicit order override is honoured and validated") {
     val query = q("IS5")
-    val (interA, _) = new GraphflowSim(store).run(query, Some(Seq("c", "p")))
+    val (interA, _) = new GraphflowSim(store).run(query.copy(gfOrder = Some(Seq("c", "p"))))
     assert(interA.size >= 0)
     intercept[IllegalArgumentException](
-      new GraphflowSim(store).run(query, Some(Seq("p"))))
+      new GraphflowSim(store).run(query.copy(gfOrder = Some(Seq("p")))))
   }
 }

@@ -2,7 +2,7 @@ package repro.imdb
 
 import repro.{Canon, Oracle, SparkSpec, StepCounts}
 import repro.core._
-import repro.columnar.ColumnarExec
+import repro.columnar.{ColumnStore, ColumnarExec}
 import scala.collection.mutable
 
 /** Every JOB-lite query, with a row count beside its MINs: vanilla Spark vs
@@ -13,7 +13,7 @@ class JobEquivalenceSpec extends SparkSpec {
   private val Sf = 0.01
 
   private lazy val cat = ImdbData.catalog(spark, Sf)
-  private lazy val store = ImdbData.store(cat)
+  private lazy val store = ColumnStore.of(cat)
   private lazy val duck  = new SparkExec(cat, GrainConfig.Duck)
   private lazy val grain = new SparkExec(cat, GrainConfig.Full)
 
@@ -96,11 +96,6 @@ class JobEquivalenceSpec extends SparkSpec {
         assert(StepCounts.of(m) == StepCounts.of(GrainPlanner.lower(q, q.plan, cfg, cat)),
           s"columnar[$cfgName] steps on ${q.name}")
       }
-    }
-
-    test(s"JOB ${q.name}: columnar[full] with 64-row zones matches spark-duck") {
-      val (inter, _) = Bitmap.withZoneSize(64)(new ColumnarExec(store, cat, GrainConfig.Full).run(q))
-      assert(Canon.ofInter(inter) == expected(q), s"columnar[full] mismatch on ${q.name}")
     }
   }
 

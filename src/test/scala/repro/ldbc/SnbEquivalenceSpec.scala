@@ -2,7 +2,7 @@ package repro.ldbc
 
 import repro.{Canon, Oracle, SparkSpec, StepCounts}
 import repro.core._
-import repro.columnar.ColumnarExec
+import repro.columnar.{ColumnStore, ColumnarExec}
 import repro.graphsim.GraphflowSim
 import scala.collection.mutable
 
@@ -13,7 +13,7 @@ class SnbEquivalenceSpec extends SparkSpec {
   private val Sf = 0.02 // tiny: person=60, knows=1200, comment=1800
 
   private lazy val cat   = LdbcData.catalog(spark, Sf)
-  private lazy val store = LdbcData.store(cat)
+  private lazy val store = ColumnStore.of(cat)
 
   private lazy val duckSpark  = new SparkExec(cat, GrainConfig.Duck)
   private lazy val grainSpark = new SparkExec(cat, GrainConfig.Full)
@@ -111,11 +111,6 @@ class SnbEquivalenceSpec extends SparkSpec {
         assert(StepCounts.of(m) == StepCounts.of(GrainPlanner.lower(q, q.plan, cfg, cat)),
           s"columnar[$cfgName] steps on ${q.name}")
       }
-    }
-
-    test(s"${q.name}: columnar[full] with 64-row zones matches spark-duck") {
-      val (inter, _) = Bitmap.withZoneSize(64)(new ColumnarExec(store, cat, GrainConfig.Full).run(q))
-      assert(Canon.ofInter(inter) == expected(q), s"columnar[full] mismatch on ${q.name}")
     }
 
     test(s"${q.name}: graphsim matches spark-duck") {
