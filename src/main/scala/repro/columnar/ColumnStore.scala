@@ -12,6 +12,16 @@ sealed trait ColData {
 }
 final case class LongCol(a: Array[Long]) extends ColData {
   def size: Int = a.length; def any(i: Int): Any = a(i)
+
+  /** The smallest and largest value, found once when the column is made
+    * (`Long.MaxValue` and `Long.MinValue` when it is empty): the domain a
+    * hash join's build covers when it probes this column. */
+  val (min, max): (Long, Long) = {
+    var (lo, hi) = (Long.MaxValue, Long.MinValue)
+    var i = 0
+    while (i < a.length) { val x = a(i); if (x < lo) lo = x; if (x > hi) hi = x; i += 1 }
+    (lo, hi)
+  }
 }
 final case class DoubleCol(a: Array[Double]) extends ColData {
   def size: Int = a.length; def any(i: Int): Any = a(i)
@@ -71,8 +81,11 @@ final class TableData(val name: String, val colNames: IndexedSeq[String],
   def col(c: String): ColData = cols(byName.getOrElse(c, sys.error(s"$name: no column $c")))
 
   /** Column `c` over every row, in row order. */
-  def ref(c: String): ColRef = new ColRef(s"$name.$c", allRows, col(c))
-  private lazy val allRows = Array.range(0, numRows)
+  def ref(c: String): ColRef = new ColRef(s"$name.$c", allRows, col(c), numRows)
+
+  /** The identity vector `0 until numRows`, shared by every unfiltered scan
+    * of this table and by [[ref]]; like every row-id vector, read-only. */
+  private[columnar] lazy val allRows = Array.range(0, numRows)
 
   /** Long column `c`'s value -> row ids index, built once: GraphflowSim's
     * adjacency-list-index analogue and the serial engine's primary-key

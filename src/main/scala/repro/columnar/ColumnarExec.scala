@@ -49,7 +49,7 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
           // GDBMS's sequential node scan on IS1/IS4-style queries (§7.2.2).
           m.indexLookups += 1
           Scan.rows(t.index(cat.pk(tname).get).rowsOf(pointKey.get), test)
-        } else if (filters.isEmpty) Scan.all(t.numRows, test)
+        } else if (filters.isEmpty) Scan.all(t, test)
         else Scan.setBits(t.numRows, filters.reduce(_ and _), test)
       m.scanned(alias) = out.scanned
       m.zonesSkipped += out.zonesSkipped
@@ -81,8 +81,8 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
             // probe side, and the node's keys filter the pairs.
             val (ps, os) = idx.walk(colOf(interL, from).ids)
             m.indexLookups += os.length
-            val (ri, at) = new LongMultiMap(colOf(interR, to), interR.size, os.length)
-              .pairs(new ColRef(s"${from.name}->${to.name}", os, null), os.length)
+            val (ri, at) = Join.hash(Seq(colOf(interR, to)), interR.size,
+              Seq(new ColRef(s"${from.name}->${to.name}", os, null, rowsOf(to.alias))), os.length)
             Join.where(Rel.gather(ps, at), ri,
               j.keys.map(k => Join.eq(colOf(interL, k.build), colOf(interR, k.probe))))
           case CrossJoin => Join.cross(interL.size, interR.size)

@@ -40,7 +40,9 @@ object Filter {
       case LongCol(a)   => new LongIn(a, ls.collect { case LL(y) => y }.toArray)
       case DoubleCol(a) => new DoubleIn(a, ls.collect { case LD(y) => y }.toArray)
       case s: StringCol =>
-        new CodeIn(s.codes, ls.collect { case LS(y) => s.code(y) }.filter(_ >= 0).distinct.toArray)
+        val hit = new RowMask(s.dict.length)
+        ls.collect { case LS(y) => s.code(y) }.filter(_ >= 0).foreach(hit.set)
+        new CodeIn(s.codes, hit)
     }
     case AndP(ps) => new AndF(ps.map(apply(_, t)).toArray)
     case OrP(ps)  => new OrF(ps.map(apply(_, t)).toArray)
@@ -154,15 +156,15 @@ final class DoubleIn(a: Array[Double], ys: Array[Double]) extends Filter {
   }
 }
 
-/** The row's dictionary code is one of `ys` (all non-negative, so a null's
-  * -1 never is). */
-final class CodeIn(codes: Array[Int], ys: Array[Int]) extends Filter {
-  def apply(r: Int): Boolean = { val x = codes(r); var j = 0; while (j < ys.length && ys(j) != x) j += 1; j < ys.length }
+/** The row's dictionary code is set in `hit`, a membership table over the
+  * dictionary's codes (a null's -1 never is). */
+final class CodeIn(codes: Array[Int], hit: RowMask) extends Filter {
+  def apply(r: Int): Boolean = hit.contains(codes(r))
 
   def select(in: Array[Int], n: Int, out: Array[Int]): Int = {
     var k = 0
     var i = 0
-    while (i < n) { val r = in(i); out(k) = r; if (apply(r)) k += 1; i += 1 }
+    while (i < n) { val r = in(i); out(k) = r; if (hit.contains(codes(r))) k += 1; i += 1 }
     k
   }
 }

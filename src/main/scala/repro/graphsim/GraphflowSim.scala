@@ -41,7 +41,7 @@ final class GraphflowSim(store: ColumnStore) {
     // Initial sequential scan of the first table.
     val a0 = order.head
     val t0 = store(q.ref(a0).table)
-    val first = Scan.all(t0.numRows, predOf(a0, t0))
+    val first = Scan.all(t0, predOf(a0, t0))
     m.scanned += first.scanned
     var rel = Rel.leaf(a0, t0, first.rows)
 

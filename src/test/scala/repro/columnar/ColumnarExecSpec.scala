@@ -52,6 +52,17 @@ class ColumnarExecSpec extends SparkSpec {
     assert(scans.sliding(2).forall(p => p(1) <= p(0)), scans.toString)
   }
 
+  test("running every query twice leaves each table's shared identity vector as it was") {
+    val engines = Seq(GrainConfig.Duck, GrainConfig.RidOnly, GrainConfig.NoJm, GrainConfig.Full)
+      .map(c => (x: Query) => new ColumnarExec(store, cat, c).run(x)._1) :+
+      ((x: Query) => new repro.graphsim.GraphflowSim(store).run(x)._1)
+    for (run <- engines; query <- SnbQueries.queries(sc)) {
+      val first = run(query).rows.map(_.toSeq)
+      assert(run(query).rows.map(_.toSeq) == first, query.name)
+    }
+    for (t <- store.tables.values) assert(t.allRows.toSeq == (0 until t.numRows), t.name)
+  }
+
   test("global MIN/MAX order doubles as sorted does (NaN above all) and skip null strings") {
     import spark.implicits._
     val tcat = new GrainCatalog(spark)

@@ -81,7 +81,8 @@ class KernelsSpec extends AnyFunSuite {
       col <- Gen.listOfN(200, Gen.frequency(3 -> Gen.const(null: String), 10 -> Gen.oneOf(values)))
       p   <- Gen.oneOf(
                Gen.zip(Gen.oneOf(ops), Gen.oneOf(strLits)).map { case (op, l) => Cmp("s", op, l) },
-               Gen.nonEmptyListOf(Gen.oneOf(strLits)).map(InList("s", _)))
+               // empty lists and repeated literals too
+               Gen.listOf(Gen.oneOf(strLits)).flatMap(l => Gen.oneOf(l, l ++ l)).map(InList("s", _)))
     } yield (col.toArray, p)
     val prop = Prop.forAll(gen) { case (a, p) =>
       val st = new TableData("st", IndexedSeq("s"), IndexedSeq(StringCol(a)), a.length)
@@ -92,6 +93,22 @@ class KernelsSpec extends AnyFunSuite {
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300)
       .withInitialSeed(Seed(20230L)).withWorkers(1), prop)
     assert(res.passed, res.status.toString)
+  }
+
+  test("a string in-list: null codes, literals absent from the dictionary, duplicates, an empty list") {
+    // 130 distinct values, so the membership bitmap spans three words
+    val a = Array.tabulate[String](260)(i => if (i % 7 == 0) null else f"v${i % 130}%03d")
+    val st = new TableData("st", IndexedSeq("s"), IndexedSeq(StringCol(a)), a.length)
+    val rows = Array.range(0, a.length)
+    for (ls <- Seq(Nil, Seq("zz"), Seq("v000", "v000"), Seq("v063", "v064", "nope", "v129", "v064"),
+                   Seq("v001", "v128", "v127"), (0 until 130).map(i => f"v$i%03d"))) {
+      val p = InList("s", ls.map(LS(_)))
+      val want = evalRows(p, st, rows.toSeq)
+      assert(selected(Filter(p, st), rows) == want, ls)
+      assert(rows.filter(Filter(p, st)(_)).toSeq == want.get, ls)
+      assert(want.get.forall(a(_) != null), ls) // a null is in no list
+    }
+    assert(Filter(InList("s", Nil), st).select(rows, rows.length, new Array[Int](rows.length)) == 0)
   }
 
   test("two filters compiled on one string column each keep their own rows") {
@@ -111,7 +128,7 @@ class KernelsSpec extends AnyFunSuite {
     // a vector of null rows passes nothing, and fails on no row
     assert(f.select(Array(0, 6), 2, new Array[Int](2)) == 0)
     intercept[RuntimeException](f.select(Array(0, 2, 6), 3, new Array[Int](3)))
-    intercept[RuntimeException](Scan.all(t.numRows, f))
+    intercept[RuntimeException](Scan.all(t, f))
   }
 
   test("AndF chains its children in place, each over the survivors of the ones before") {
@@ -123,12 +140,12 @@ class KernelsSpec extends AnyFunSuite {
     // A child that fails on a non-null row is tested only on the rows the
     // earlier children kept: here none, then two non-null ones.
     val none = AndP(Seq(Pred.eqS("s", "zz"), Cmp("s", OpLt, LL(3))))
-    assert(Scan.all(t.numRows, Filter(none, t)).rows.isEmpty)
-    intercept[RuntimeException](Scan.all(t.numRows, Filter(AndP(Seq(Pred.eqL("l", 2), Cmp("s", OpLt, LL(3)))), t)))
+    assert(Scan.all(t, Filter(none, t)).rows.isEmpty)
+    intercept[RuntimeException](Scan.all(t, Filter(AndP(Seq(Pred.eqL("l", 2), Cmp("s", OpLt, LL(3)))), t)))
     // OR tests a later child only on the rows no earlier child passed.
     val or = OrP(Seq(Pred.eqS("s", "a"), Cmp("s", OpLt, LL(3))))
     assert(Scan.rows(Array(0, 2, 5, 6), Filter(or, t)).rows.toSeq == Seq(2, 5))
-    intercept[RuntimeException](Scan.all(t.numRows, Filter(or, t)))
+    intercept[RuntimeException](Scan.all(t, Filter(or, t)))
     // no rows in, no rows out, and no test run
     assert(Filter(Cmp("l", OpLt, LS("x")), t).select(v, 0, v) == 0)
   }
@@ -181,7 +198,7 @@ class KernelsSpec extends AnyFunSuite {
       setRows.foreach(r => mask.add(r.toLong, "r.__rid"))
       val bySetBits = Try(Scan.setBits(n, mask, f))
       val (zoneRows, zoneScanned, zoneSkipped) = zoneLoop(n, mask)
-      Prop(same(Try(Scan.all(n, f).rows.toSeq), evalRows(p, tab, 0 until n))) :| "Scan.all" &&
+      Prop(same(Try(Scan.all(tab, f).rows.toSeq), evalRows(p, tab, 0 until n))) :| "Scan.all" &&
         Prop(same(Try(Scan.rows(ids, f).rows.toSeq), evalRows(p, tab, ids.toSeq))) :| "Scan.rows" &&
         Prop(same(bySetBits.map(_.rows.toSeq), evalRows(p, tab, zoneRows))) :| "Scan.setBits" &&
         Prop(bySetBits.toOption.forall(o => o.scanned == zoneScanned && o.zonesSkipped == zoneSkipped)) :| "zone counts" &&
@@ -280,7 +297,7 @@ class KernelsSpec extends AnyFunSuite {
   test("a dense __rid build key probes by direct address") {
     val rel = Rel.leaf("a", t, Array(6, 2, 2, 0))
     val ht = new LongMultiMap(rel.col("a", "__rid"), rel.size, 0)
-    assert(ht.dense)
+    assert(ht.addressing == LongMultiMap.Ranged)
     assert(ht.first(2) == 1 && ht.next(1) == 2 && ht.next(2) == -1)
     assert(ht.first(6) == 0 && ht.first(5) == -1 && ht.first(-1) == -1 && ht.first(7) == -1)
   }
@@ -288,73 +305,179 @@ class KernelsSpec extends AnyFunSuite {
   test("a tiny __rid build over a large table hashes, with the dense path's pairs") {
     // The last build RID is far from the others and matches no probe key.
     val ids = Array(5, 2, 5, 1 << 16)
-    val probe = new ColRef("p.l", Array.range(0, 6), LongCol(Array(5L, -1L, 2L, 7L, 5L, 1L << 40)))
-    val build = new ColRef("a.__rid", ids, null)
-    def pairs(ht: LongMultiMap) = { val (li, ri) = ht.pairs(probe, 6); (ht.dense, li.toSeq.zip(ri.toSeq)) }
-    val (small, dense) = pairs(new LongMultiMap(build, ids.length, (1L << 16) + 1))
+    val probe = new ColRef("p.l", Array.range(0, 6), LongCol(Array(5L, -1L, 2L, 7L, 5L, 1L << 40)), 6)
+    val build = new ColRef("a.__rid", ids, null, (1 << 16) + 1)
+    def pairs(ht: LongMultiMap) = { val (li, ri) = ht.pairs(probe, 6); (ht.addressing, li.toSeq.zip(ri.toSeq)) }
+    val (small, dense) = pairs(new LongMultiMap(build, ids.length, Long.MinValue, Long.MaxValue, (1L << 16) + 1))
     val (large, hashed) = pairs(new LongMultiMap(build, ids.length, 6))
-    assert(small && !large)
+    assert(small == LongMultiMap.Ranged && large == LongMultiMap.Hashed)
     assert(hashed == dense)
     assert(dense == Seq((0, 0), (2, 0), (1, 2), (0, 4), (2, 4)))
     val (li, ri) = Join.hash(Seq(build), ids.length, Seq(probe), 6)
     assert(li.toSeq.zip(ri.toSeq) == dense)
   }
 
-  /** The pairs of a nested loop: probe order, then build order. */
-  private def loopPairs(b: Array[Long], p: Array[Long]): Seq[(Int, Int)] =
-    for (r <- p.indices; l <- b.indices if b(l) == p(r)) yield (l, r)
-
-  private def longRef(xs: Array[Long]) = new ColRef("x.k", Array.range(0, xs.length), LongCol(xs))
-
-  test("property: range-addressed and hashed builds give the nested loop's pairs") {
-    // Keys sit in a narrow window above a base, so the join's own budget
-    // picks range addressing unless the build holds both extremes.
-    val base = Gen.oneOf(Gen.const(0L), Gen.const(-1L), Gen.const(Long.MinValue),
-      Gen.const(Long.MaxValue - 40), Gen.const(1L << 40), Gen.choose(-1000L, 1000L))
-    val gen = for {
-      b       <- base
-      bOffs   <- Gen.listOf(Gen.choose(0L, 40L))
-      ends    <- Gen.frequency(4 -> false, 1 -> true)
-      pOffs   <- Gen.listOf(Gen.choose(-45L, 45L))
-      pExtras <- Gen.listOf(Gen.oneOf(-1L, 0L, Long.MinValue, Long.MaxValue))
-    } yield ((bOffs.map(b + _) ++ (if (ends) Seq(Long.MinValue, Long.MaxValue) else Nil)).toArray,
-      (pOffs.map(b + _) ++ pExtras).toArray)
-    val prop = Prop.forAll(gen) { case (bk, pk) =>
-      val (bRef, pRef) = (longRef(bk), longRef(pk))
-      val want = loopPairs(bk, pk)
-      val ranged = new LongMultiMap(bRef, bk.length, pk.length)
-      val hashed = new LongMultiMap(bRef, bk.length, 0L)
-      def got(ht: LongMultiMap) = { val (li, ri) = ht.pairs(pRef, pk.length); li.toSeq.zip(ri.toSeq) }
-      // the rule: at most DenseShare slots per build or probe row
-      val fits = bk.isEmpty ||
-        BigInt(bk.max) - BigInt(bk.min) + 1 <= LongMultiMap.DenseShare * (bk.length + pk.length)
-      ranged.dense == fits && (bk.isEmpty || !hashed.dense) &&
-        got(ranged) == want && got(hashed) == want &&
-        pk.indices.forall(r => ranged.first(pk(r)) == hashed.first(pk(r)))
-    }
-    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(500)
-      .withInitialSeed(Seed(20229L)).withWorkers(1), prop)
-    assert(res.passed, res.status.toString)
-  }
+  private def longRef(xs: Array[Long]) = new ColRef("x.k", Array.range(0, xs.length), LongCol(xs), xs.length)
 
   test("range addressing: below, above, an empty build and a build spanning every long") {
     val ht = new LongMultiMap(longRef(Array(-3L, -1L, -3L, 4L)), 4, 1)
-    assert(ht.dense)
+    assert(ht.addressing == LongMultiMap.Ranged)
     assert(Seq(-4L, -3L, -2L, -1L, 4L, 5L, Long.MinValue, Long.MaxValue).map(ht.first) ==
       Seq(-1, 0, -1, 1, 3, -1, -1, -1))
     assert(ht.next(0) == 2 && ht.next(2) == -1)
     val empty = new LongMultiMap(longRef(Array.empty[Long]), 0, 10)
-    assert(empty.dense && empty.first(0L) == -1 && empty.first(Long.MinValue) == -1)
+    assert(empty.addressing == LongMultiMap.Ranged && empty.first(0L) == -1 && empty.first(Long.MinValue) == -1)
     val ends = new LongMultiMap(longRef(Array(Long.MaxValue, 0L, Long.MinValue)), 3, Int.MaxValue)
-    assert(!ends.dense)
+    assert(ends.addressing == LongMultiMap.Hashed)
     assert(Seq(Long.MinValue, 0L, Long.MaxValue, -1L).map(ends.first) == Seq(2, 1, 0, -1))
+  }
+
+  /** A join's two sides: the build over its first `bn` rows, the probe
+    * over its first `pn` rows. */
+  private final class JoinCase(val build: ColRef, val bn: Int, val probe: ColRef, val pn: Int) {
+    /** The nested loop's pairs, in probe order and then build order. */
+    def want: Seq[(Int, Int)] =
+      for (r <- 0 until pn; l <- 0 until bn if build.long(l) == probe.long(r)) yield (l, r)
+  }
+
+  private def pairsOf(ht: LongMultiMap, c: JoinCase): Seq[(Int, Int)] = {
+    val (li, ri) = ht.pairs(c.probe, c.pn); li.toSeq.zip(ri.toSeq)
+  }
+
+  test("property: range-addressed and hashed builds give the nested loop's pairs") {
+    // Every addressing mode (covered, range-tested, hashed) and an empty build.
+    import LongMultiMap.{Covered, Hashed, Ranged}
+    // Value keys in a narrow window above a base, a probe column whose
+    // domain reaches past the build keys (and holds -1, or both ends of the
+    // longs, whose span overflows), read through a random row vector.
+    val base = Gen.oneOf(Gen.const(0L), Gen.const(-1L), Gen.const(Long.MinValue),
+      Gen.const(Long.MaxValue - 40), Gen.const(1L << 40), Gen.choose(-1000L, 1000L))
+    val values: Gen[JoinCase] = for {
+      b       <- base
+      bOffs   <- Gen.listOf(Gen.choose(0L, 40L))
+      pOffs   <- Gen.nonEmptyListOf(Gen.choose(-45L, 45L))
+      pExtras <- Gen.frequency(3 -> Gen.const(Nil), 1 -> Gen.someOf(-1L, 0L, Long.MinValue, Long.MaxValue))
+      ids     <- Gen.listOf(Gen.choose(0, pOffs.length + pExtras.length - 1))
+    } yield {
+      val pcol = (pOffs.map(b + _) ++ pExtras).toArray
+      new JoinCase(longRef(bOffs.map(b + _).toArray), bOffs.length,
+        new ColRef("p.k", ids.toArray, LongCol(pcol), pcol.length), ids.length)
+    }
+    // A rid_<fk> build (-1 dangling) probed by `__rid`, as a FK-PK RID join.
+    val rids: Gen[JoinCase] = for {
+      rows <- Gen.choose(1, 60)
+      fks  <- Gen.listOf(Gen.choose(-1L, rows - 1L))
+      ids  <- Gen.listOf(Gen.choose(0, rows - 1))
+    } yield new JoinCase(new ColRef("f.rid_p", Array.range(0, fks.length), LongCol(fks.toArray), fks.length),
+      fks.length, new ColRef("p.__rid", ids.toArray, null, rows), ids.length)
+    // SJoinIdxM: the probe side's `__rid`s as the build, the P2 RIDs a CSR
+    // walk read as the probe, both over the same table.
+    val merge: Gen[JoinCase] = for {
+      rows <- Gen.choose(1, 60)
+      kept <- Gen.listOf(Gen.choose(0, rows - 1)).map(_.distinct.sorted)
+      os   <- Gen.listOf(Gen.choose(0, rows - 1))
+    } yield new JoinCase(new ColRef("p2.__rid", kept.toArray, null, rows), kept.length,
+      new ColRef("p1->p2", os.toArray, null, rows), os.length)
+
+    val seen = scala.collection.mutable.Map[String, Int]().withDefaultValue(0)
+    val prop = Prop.forAll(Gen.frequency(3 -> values, 1 -> rids, 1 -> merge)) { c =>
+      import c._
+      val keys = (0 until bn).map(build.long)
+      def span(lo: Long, hi: Long): BigInt = BigInt(hi) - BigInt(lo)
+      val bSpan = if (bn == 0) BigInt(0) else span(keys.min, keys.max)
+      val uSpan = if (bn == 0) BigInt(0) else span(keys.min.min(probe.lo), keys.max.max(probe.hi))
+      val budget = LongMultiMap.DenseShare * (bn + pn)
+      // the join's own choice, an index's (probe domain unknown), and the
+      // covered and hashed modes forced through the slot budget
+      val join = new LongMultiMap(build, bn, probe, pn)
+      val ranged = new LongMultiMap(build, bn, pn)
+      val covered = new LongMultiMap(build, bn, probe.lo, probe.hi, 1L << 16)
+      val hashed = new LongMultiMap(build, bn, probe.lo, probe.hi, 0L)
+      val wantJoin = if (bn > 0 && uSpan < budget) Covered else if (bn == 0 || bSpan < budget) Ranged else Hashed
+      seen(if (bn == 0) "empty" else s"${join.addressing}") += 1
+      if (bn > 0 && uSpan > Long.MaxValue) seen("overflow") += 1
+      Prop(join.addressing == wantJoin) :| s"join addressing ${join.addressing}" &&
+        Prop(covered.addressing == (if (bn > 0 && uSpan < (1L << 16)) Covered else if (bn == 0 || bSpan < (1L << 16)) Ranged else Hashed)) :| "covered" &&
+        Prop(ranged.addressing == (if (bn == 0 || bSpan < budget) Ranged else Hashed)) :| "ranged" &&
+        Prop(hashed.addressing == (if (bn == 0) Ranged else Hashed)) :| "hashed" &&
+        Prop(Seq(join, covered, ranged, hashed).forall(pairsOf(_, c) == want)) :| "pairs" &&
+        Prop({ val (li, ri) = Join.hash(Seq(build), bn, Seq(probe), pn); li.toSeq.zip(ri.toSeq) == want }) :| "Join.hash" &&
+        Prop((0 until pn).forall { r =>
+          val k = probe.long(r); Seq(join, ranged, hashed).forall(_.first(k) == covered.first(k)) }) :| "first"
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(1000)
+      .withInitialSeed(Seed(20232L)).withWorkers(1), prop)
+    assert(res.passed, res.status.toString)
+    for (k <- Seq("empty", "Covered", "Ranged", "Hashed", "overflow")) assert(seen(k) > 0, s"no $k case in $seen")
+  }
+
+  test("a covered probe over several batches gives the nested loop's pairs") {
+    val rnd = new scala.util.Random(7)
+    val pcol = Array.fill(3000)(rnd.nextInt(50).toLong)
+    val probe = new ColRef("p.k", Array.tabulate(2900)(i => (i * 7) % 3000), LongCol(pcol), 3000)
+    val build = longRef(Array.fill(100)(10L + rnd.nextInt(30)))
+    val ht = new LongMultiMap(build, 100, probe, 2900)
+    assert(ht.addressing == LongMultiMap.Covered)
+    assert(pairsOf(ht, new JoinCase(build, 100, probe, 2900)) == new JoinCase(build, 100, probe, 2900).want)
+  }
+
+  test("an empty build gives no pairs without reading a probe key") {
+    // the probe's row ids lie outside its column: any read would fail
+    val probe = new ColRef("p.k", Array(7, 100), LongCol(Array(1L, 2L)), 2)
+    for (ht <- Seq(new LongMultiMap(longRef(Array.empty[Long]), 0, probe, 2),
+                   new LongMultiMap(longRef(Array.empty[Long]), 0, 2)))
+      assert(ht.pairs(probe, 2) match { case (li, ri) => li.isEmpty && ri.isEmpty })
+    intercept[IndexOutOfBoundsException](new LongMultiMap(longRef(Array(1L)), 1, probe, 2).pairs(probe, 2))
+  }
+
+  test("a covered probe key outside its column's domain fails instead of reading another key's rows") {
+    val a = Array(0L, 3L, 5L)
+    val probe = new ColRef("p.k", Array(0, 1, 2), LongCol(a), 3) // domain [0, 5]
+    val ht = new LongMultiMap(longRef(Array(3L, 5L)), 2, probe, 3)
+    assert(ht.addressing == LongMultiMap.Covered)
+    assert(pairsOf(ht, new JoinCase(longRef(Array(3L, 5L)), 2, probe, 3)) == Seq((0, 1), (1, 2)))
+    a(0) = 6L // one past the slots
+    intercept[IndexOutOfBoundsException](ht.pairs(probe, 3))
+    a(0) = 3L + (1L << 32) // would alias slot 3 as an int
+    intercept[ArithmeticException](ht.pairs(probe, 3))
+    a(0) = -1L // below the slots
+    intercept[IndexOutOfBoundsException](ht.pairs(probe, 3))
+    // a row-id probe past the rows it claims fails too
+    val rid = new ColRef("r.__rid", Array(0, 2), null, 3)
+    val ridMap = new LongMultiMap(new ColRef("b.__rid", Array(1, 2), null, 3), 2, rid, 2)
+    assert(ridMap.addressing == LongMultiMap.Covered)
+    intercept[IndexOutOfBoundsException](ridMap.pairs(new ColRef("r.__rid", Array(0, 9), null, 3), 2))
+    // a probe whose own domain reaches past the slots is range-tested
+    val wide = new ColRef("q.k", Array(0, 1), LongCol(Array(3L, 1L << 40)), 2)
+    assert(pairsOf(ht, new JoinCase(longRef(Array(3L, 5L)), 2, wide, 2)) == Seq((0, 0)))
+  }
+
+  test("a column's domain: a long column's min and max, row ids' [0, rows)") {
+    val c = new ColRef("x.k", Array(1), LongCol(Array(4L, -2L, 9L)), 3)
+    assert((c.lo, c.hi) == ((-2L, 9L))) // the whole column, not only the rows read
+    val empty = new ColRef("x.k", Array.empty, LongCol(Array.empty), 0)
+    assert(empty.lo > empty.hi)
+    val rid = new ColRef("x.__rid", Array(3), null, 5)
+    assert((rid.lo, rid.hi) == ((0L, 4L)))
+    assert(Rel.leaf("a", t, Array(0)).col("a", "__rid").hi == t.numRows - 1L)
+    val s = Rel.leaf("a", t, Array(0)).col("a", "s")
+    assert((s.lo, s.hi) == ((Long.MinValue, Long.MaxValue)))
+  }
+
+  test("an unfiltered scan keeps its table's identity vector, which no scan writes") {
+    val all = Scan.all(t, Scan.NoPred)
+    assert((all.rows eq t.allRows) && all.scanned == t.numRows)
+    val f = Filter(Cmp("l", OpGe, LL(2L)), t)
+    assert(Scan.all(t, f).rows.toSeq == Seq(2, 3, 4, 5, 6))
+    assert(Scan.all(t, Filter(AndP(Nil), t)).rows.toSeq == (0 until t.numRows))
+    assert(t.allRows.toSeq == (0 until t.numRows))
   }
 
   test("an EXTEND-style value-index lookup: keys outside the build's range and -1") {
     // a narrow FK column (range-addressed) and `t.l`, whose span hashes
     val fk = new TableData("e", IndexedSeq("k"), IndexedSeq(LongCol(Array(3L, 1L, 3L, 0L, 1L, 3L))), 6)
     val (ranged, hashed) = (fk.index("k"), t.index("l"))
-    assert(ranged.dense && !hashed.dense)
+    assert(ranged.addressing == LongMultiMap.Ranged && hashed.addressing == LongMultiMap.Hashed)
     assert(fk.index("k") eq ranged) // built once per column
     def extend(idx: LongMultiMap, k: Long): Seq[Int] =
       Iterator.iterate(idx.first(k))(idx.next).takeWhile(_ >= 0).toSeq
@@ -385,7 +508,7 @@ class KernelsSpec extends AnyFunSuite {
         "only a bit past the end"  -> Array(1),
         "only bits in later zones" -> Array(5, 6),
         "a negative bit"           -> Array(7, 8))) {
-      val ref = new ColRef("t.rid_x", rows, col)
+      val ref = new ColRef("t.rid_x", rows, col, col.size)
       val e = intercept[IllegalArgumentException](ref.mask(t.numRows))
       assert(e.getMessage.contains("t.rid_x"), name)
     }

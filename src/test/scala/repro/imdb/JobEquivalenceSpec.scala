@@ -66,6 +66,93 @@ class JobEquivalenceSpec extends SparkSpec {
     "32a" -> ((1, 0, 1, 3)),
     "33a" -> ((3, 2, 1, 6)))
 
+  // The serial engine's (totalScanned, probes, indexLookups, zonesSkipped)
+  // per query under Duck and Full: what each query reads and probes, which
+  // a change to the shared kernels must leave as it is.
+  private val ColumnarAccess = Map[String, Map[String, (Long, Long, Long, Long)]](
+    "duck" -> Map[String, (Long, Long, Long, Long)](
+      "1a" -> ((1417L, 901L, 0L, 0L)),
+      "1b" -> ((1417L, 1022L, 0L, 0L)),
+      "2a" -> ((1910L, 1810L, 0L, 0L)),
+      "2b" -> ((1910L, 1800L, 0L, 0L)),
+      "3a" -> ((2460L, 1259L, 0L, 0L)),
+      "3b" -> ((2460L, 1058L, 0L, 0L)),
+      "4a" -> ((1773L, 1160L, 0L, 0L)),
+      "4b" -> ((1773L, 979L, 0L, 0L)),
+      "5a" -> ((2104L, 1011L, 0L, 0L)),
+      "5b" -> ((2104L, 279L, 0L, 0L)),
+      "6a" -> ((3660L, 2960L, 0L, 0L)),
+      "6b" -> ((3660L, 2998L, 0L, 0L)),
+      "7a" -> ((3278L, 2625L, 0L, 0L)),
+      "8a" -> ((3562L, 1506L, 0L, 0L)),
+      "9a" -> ((3562L, 1521L, 0L, 0L)),
+      "10a" -> ((2966L, 1109L, 0L, 0L)),
+      "11a" -> ((2292L, 1993L, 0L, 0L)),
+      "12a" -> ((2780L, 865L, 0L, 0L)),
+      "13a" -> ((2787L, 1153L, 0L, 0L)),
+      "14a" -> ((3093L, 1622L, 0L, 0L)),
+      "15a" -> ((3223L, 1262L, 0L, 0L)),
+      "16a" -> ((4510L, 4420L, 0L, 0L)),
+      "17a" -> ((4310L, 3866L, 0L, 0L)),
+      "18a" -> ((4526L, 1266L, 0L, 0L)),
+      "19a" -> ((4875L, 1185L, 0L, 0L)),
+      "20a" -> ((3735L, 3660L, 0L, 0L)),
+      "21a" -> ((3492L, 2328L, 0L, 0L)),
+      "22a" -> ((3747L, 2044L, 0L, 0L)),
+      "23a" -> ((2338L, 887L, 0L, 0L)),
+      "24a" -> ((5835L, 2117L, 0L, 0L)),
+      "25a" -> ((5486L, 3862L, 0L, 0L)),
+      "26a" -> ((4244L, 3284L, 0L, 0L)),
+      "27a" -> ((2360L, 2094L, 0L, 0L)),
+      "28a" -> ((3815L, 2200L, 0L, 0L)),
+      "29a" -> ((5899L, 2161L, 0L, 0L)),
+      "30a" -> ((5554L, 3526L, 0L, 0L)),
+      "31a" -> ((6136L, 4107L, 0L, 0L)),
+      "32a" -> ((1638L, 1578L, 0L, 0L)),
+      "33a" -> ((1848L, 1127L, 0L, 0L))
+    ),
+    "full" -> Map[String, (Long, Long, Long, Long)](
+      "1a" -> ((255L, 34L, 50L, 0L)),
+      "1b" -> ((164L, 3L, 50L, 0L)),
+      "2a" -> ((152L, 0L, 179L, 0L)),
+      "2b" -> ((152L, 0L, 179L, 0L)),
+      "3a" -> ((182L, 11L, 54L, 0L)),
+      "3b" -> ((60L, 0L, 0L, 3L)),
+      "4a" -> ((134L, 7L, 54L, 0L)),
+      "4b" -> ((126L, 1L, 54L, 0L)),
+      "5a" -> ((308L, 139L, 0L, 0L)),
+      "5b" -> ((154L, 0L, 0L, 3L)),
+      "6a" -> ((60L, 0L, 0L, 2L)),
+      "6b" -> ((60L, 0L, 0L, 2L)),
+      "7a" -> ((444L, 7L, 38L, 1L)),
+      "8a" -> ((2134L, 128L, 0L, 3L)),
+      "9a" -> ((471L, 8L, 2L, 0L)),
+      "10a" -> ((302L, 133L, 0L, 0L)),
+      "11a" -> ((112L, 1L, 54L, 4L)),
+      "12a" -> ((181L, 13L, 0L, 3L)),
+      "13a" -> ((138L, 71L, 0L, 3L)),
+      "14a" -> ((116L, 0L, 54L, 5L)),
+      "15a" -> ((503L, 79L, 61L, 0L)),
+      "16a" -> ((379L, 72L, 536L, 0L)),
+      "17a" -> ((338L, 0L, 533L, 0L)),
+      "18a" -> ((415L, 119L, 0L, 3L)),
+      "19a" -> ((400L, 0L, 0L, 9L)),
+      "20a" -> ((76L, 61L, 5L, 1L)),
+      "21a" -> ((60L, 0L, 0L, 9L)),
+      "22a" -> ((60L, 0L, 0L, 10L)),
+      "23a" -> ((4L, 0L, 0L, 8L)),
+      "24a" -> ((210L, 17L, 54L, 2L)),
+      "25a" -> ((60L, 0L, 0L, 7L)),
+      "26a" -> ((38L, 0L, 30L, 4L)),
+      "27a" -> ((60L, 0L, 0L, 10L)),
+      "28a" -> ((60L, 0L, 0L, 13L)),
+      "29a" -> ((60L, 0L, 0L, 11L)),
+      "30a" -> ((80L, 39L, 20L, 6L)),
+      "31a" -> ((341L, 28L, 54L, 4L)),
+      "32a" -> ((60L, 0L, 0L, 4L)),
+      "33a" -> ((252L, 1L, 281L, 4L))
+    ))
+
   // Every JOB-lite query ends in MINs, which a scan that duplicates one row
   // and drops another leaves unchanged; a count(*) beside them (and no
   // other change, so plans and join merging stay as they are) pins the
@@ -95,6 +182,10 @@ class JobEquivalenceSpec extends SparkSpec {
         assert(Canon.ofInter(inter) == expected(q), s"columnar[$cfgName] mismatch on ${q.name}")
         assert(StepCounts.of(m) == StepCounts.of(GrainPlanner.lower(q, q.plan, cfg, cat)),
           s"columnar[$cfgName] steps on ${q.name}")
+        ColumnarAccess.get(cfgName).foreach { want =>
+          assert((m.totalScanned, m.probes, m.indexLookups, m.zonesSkipped) == want(q.name),
+            s"columnar[$cfgName] access pattern on ${q.name}")
+        }
       }
     }
   }

@@ -86,6 +86,69 @@ class SnbEquivalenceSpec extends SparkSpec {
     "MUTUAL-1" -> ((60L, 2460L, 25819L, 51638L)),
     "MUTUAL-2" -> ((60L, 2460L, 25819L, 51638L)))
 
+  // The serial engine's (totalScanned, probes, indexLookups, zonesSkipped)
+  // per query under Duck and Full: what each query reads and probes, which
+  // a change to the shared kernels must leave as it is.
+  private val ColumnarAccess = Map[String, Map[String, (Long, Long, Long, Long)]](
+    "duck" -> Map[String, (Long, Long, Long, Long)](
+      "IS1" -> ((61L, 60L, 1L, 0L)),
+      "IS2" -> ((2461L, 2460L, 1L, 0L)),
+      "IS3" -> ((1261L, 1260L, 1L, 0L)),
+      "IS4" -> ((1L, 0L, 1L, 0L)),
+      "IS5" -> ((61L, 60L, 1L, 0L)),
+      "IS6" -> ((691L, 690L, 1L, 0L)),
+      "IS7" -> ((1861L, 1860L, 1L, 0L)),
+      "IC1-1" -> ((1321L, 1261L, 1L, 0L)),
+      "IC1-2" -> ((2521L, 2461L, 1L, 0L)),
+      "IC1-3" -> ((3721L, 3661L, 1L, 0L)),
+      "IC2" -> ((3061L, 2163L, 1L, 0L)),
+      "IC3-1" -> ((4981L, 2830L, 1L, 0L)),
+      "IC3-2" -> ((6181L, 4030L, 1L, 0L)),
+      "IC4" -> ((4381L, 4033L, 1L, 0L)),
+      "IC5-1" -> ((2191L, 1969L, 1L, 0L)),
+      "IC5-2" -> ((3391L, 3169L, 1L, 0L)),
+      "IC6-1" -> ((4501L, 4440L, 1L, 0L)),
+      "IC6-2" -> ((5701L, 5640L, 1L, 0L)),
+      "IC7" -> ((3661L, 3660L, 1L, 0L)),
+      "IC8" -> ((2520L, 2460L, 0L, 0L)),
+      "IC9-1" -> ((3061L, 1671L, 1L, 0L)),
+      "IC9-2" -> ((4261L, 2871L, 1L, 0L)),
+      "IC11-1" -> ((1493L, 1403L, 1L, 0L)),
+      "IC11-2" -> ((2693L, 2603L, 1L, 0L)),
+      "IC12" -> ((5005L, 4993L, 1L, 0L)),
+      "MUTUAL-1" -> ((2520L, 2460L, 0L, 0L)),
+      "MUTUAL-2" -> ((2520L, 2460L, 0L, 0L))
+    ),
+    "full" -> Map[String, (Long, Long, Long, Long)](
+      "IS1" -> ((2L, 1L, 1L, 0L)),
+      "IS2" -> ((14L, 13L, 1L, 1L)),
+      "IS3" -> ((37L, 36L, 1L, 0L)),
+      "IS4" -> ((1L, 0L, 1L, 0L)),
+      "IS5" -> ((2L, 1L, 1L, 0L)),
+      "IS6" -> ((1L, 0L, 1L, 3L)),
+      "IS7" -> ((1L, 0L, 1L, 3L)),
+      "IC1-1" -> ((17L, 0L, 21L, 1L)),
+      "IC1-2" -> ((380L, 329L, 1L, 1L)),
+      "IC1-3" -> ((1383L, 1325L, 1L, 0L)),
+      "IC2" -> ((895L, 444L, 21L, 0L)),
+      "IC3-1" -> ((1206L, 490L, 21L, 0L)),
+      "IC3-2" -> ((2616L, 1320L, 1L, 0L)),
+      "IC4" -> ((389L, 128L, 5441L, 0L)),
+      "IC5-1" -> ((403L, 326L, 21L, 0L)),
+      "IC5-2" -> ((1156L, 962L, 1L, 0L)),
+      "IC6-1" -> ((195L, 26L, 168L, 0L)),
+      "IC6-2" -> ((613L, 438L, 2028L, 0L)),
+      "IC7" -> ((29L, 28L, 1L, 1L)),
+      "IC8" -> ((78L, 18L, 0L, 0L)),
+      "IC9-1" -> ((895L, 185L, 21L, 0L)),
+      "IC9-2" -> ((2139L, 783L, 1L, 0L)),
+      "IC11-1" -> ((55L, 24L, 21L, 0L)),
+      "IC11-2" -> ((495L, 446L, 1L, 0L)),
+      "IC12" -> ((1369L, 1234L, 1331L, 0L)),
+      "MUTUAL-1" -> ((1302L, 1183L, 1200L, 0L)),
+      "MUTUAL-2" -> ((1319L, 59L, 1200L, 0L))
+    ))
+
   // MergeShapes: two merge-eligible relationship leaves per join node,
   // which join merging must fall back on instead of failing.
   for (q <- SnbQueries.queries(LdbcData.scale(Sf)) ++ MergeShapes.queries) {
@@ -110,6 +173,10 @@ class SnbEquivalenceSpec extends SparkSpec {
         assert(Canon.ofInter(inter) == expected(q), s"columnar[$cfgName] mismatch on ${q.name}")
         assert(StepCounts.of(m) == StepCounts.of(GrainPlanner.lower(q, q.plan, cfg, cat)),
           s"columnar[$cfgName] steps on ${q.name}")
+        ColumnarAccess.get(cfgName).foreach { want =>
+          assert((m.totalScanned, m.probes, m.indexLookups, m.zonesSkipped) == want(q.name),
+            s"columnar[$cfgName] access pattern on ${q.name}")
+        }
       }
     }
 
