@@ -2,14 +2,16 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.types._
 import scala.jdk.CollectionConverters._
 
 /** DuckDB correctness oracle.
   *
   * ``assertEquivalent(sparkDf, sql, tables)`` runs ``sql`` on DuckDB
-  * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
-  * match ``sparkDf``. This catches wrong results from a rewritten plan
-  * or a custom operator — "it ran" is not "it is correct".
+  * (via JDBC, in-process) over ``tables``, whose columns carry their Spark
+  * schema's types, and asserts the sorted rows match ``sparkDf``. This
+  * catches wrong results from a rewritten plan or a custom operator — "it
+  * ran" is not "it is correct".
   *
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
@@ -35,16 +37,24 @@ object Oracle {
       .sortBy(_.mkString(""))
   }
 
+  /** The DuckDB type of a Spark column: BIGINT, DOUBLE, DATE or VARCHAR. */
+  private def sqlType(dt: DataType): String = dt match {
+    case LongType | IntegerType | ShortType | ByteType => "BIGINT"
+    case DoubleType | FloatType | _: DecimalType       => "DOUBLE"
+    case DateType                                      => "DATE"
+    case _                                             => "VARCHAR"
+  }
+
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
     Class.forName("org.duckdb.DuckDBDriver")
     val conn = DriverManager.getConnection("jdbc:duckdb:")
     try {
       for ((name, df) <- tables) {
         val cols = df.columns
-        conn.createStatement.execute(
-          s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
-        )
+        val typed = df.schema.fields.map(f => s"${f.name} ${sqlType(f.dataType)}")
+        conn.createStatement.execute(s"CREATE TABLE $name (${typed.mkString(", ")})")
         // Collect once; this is an oracle, not a bench — keep tables small.
+        // Values are bound as text, which DuckDB casts to the column's type.
         val ps = conn.prepareStatement(
           s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
         )

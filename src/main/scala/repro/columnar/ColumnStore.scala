@@ -2,7 +2,7 @@ package repro.columnar
 
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types._
-import repro.core.GrainCatalog
+import repro.core.{CodePointOrder, GrainCatalog}
 import scala.collection.mutable
 
 /** A column of an in-memory table. Three runtime types mirror [[repro.core.Lit]]. */
@@ -27,7 +27,7 @@ final case class DoubleCol(a: Array[Double]) extends ColData {
   def size: Int = a.length; def any(i: Int): Any = a(i)
 }
 /** A string column with its dictionary: `a(i) == dict(codes(i))`, and code
-  * -1 marks a null. The dictionary is sorted by `String.compareTo`, so codes
+  * -1 marks a null. The dictionary is sorted by [[CodePointOrder]], so codes
   * keep the values' order (an order-preserving dictionary): a comparison
   * with a literal is a code range, and MIN/MAX reduce over codes.
   */
@@ -36,7 +36,7 @@ final case class StringCol(a: Array[String], codes: Array[Int], dict: Array[Stri
 
   /** The first code whose value is at least `y` (`dict.length` if none). */
   def lowerBound(y: String): Int = {
-    val i = java.util.Arrays.binarySearch(dict.asInstanceOf[Array[AnyRef]], y)
+    val i = java.util.Arrays.binarySearch(dict, y, CodePointOrder)
     if (i >= 0) i else -i - 1
   }
 
@@ -61,7 +61,7 @@ object StringCol {
       i += 1
     }
     val dict = seen.toArray
-    java.util.Arrays.sort(dict.asInstanceOf[Array[AnyRef]])
+    java.util.Arrays.sort(dict, CodePointOrder)
     val rank = new Array[Int](dict.length)
     i = 0
     while (i < dict.length) { rank(ids.get(dict(i)).intValue) = i; i += 1 }
@@ -122,14 +122,7 @@ final class ColumnStore {
           var i = 0
           while (i < n) {
             val v = rows(i).get(ci)
-            a(i) = v match {
-              case null       => -1L
-              case x: Long    => x
-              case x: Int     => x.toLong
-              case x: Short   => x.toLong
-              case x: Byte    => x.toLong
-              case x: Number  => x.longValue()
-            }
+            a(i) = if (v == null) -1L else v.asInstanceOf[Number].longValue
             i += 1
           }
           LongCol(a)

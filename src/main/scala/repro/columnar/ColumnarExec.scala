@@ -37,20 +37,20 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
     def rowsOf(alias: String): Int = store(q.ref(alias).table).numRows
 
     def scan(alias: String): Rel = {
-      val tname = q.ref(alias).table
-      val t = store(tname)
-      val pred = q.ref(alias).pred
-      val test = pred.map(Filter(_, t)).getOrElse(Scan.NoPred)
+      val r = q.ref(alias)
+      val t = store(r.table)
+      val test = r.pred.map(Filter(_, t)).getOrElse(Scan.NoPred)
       val filters = scanFilters.getOrElse(alias, mutable.ArrayBuffer.empty)
-      val pointKey: Option[Long] = pred.flatMap(pointLookupKey(_, cat.pk(tname)))
-      val out =
-        if (filters.isEmpty && pointKey.isDefined) {
+      val point = cat.pk(r.table).flatMap(pk => r.pointKey(pk).map(pk -> _))
+      val out = point match {
+        case Some((pk, key)) if filters.isEmpty =>
           // Primary-key point lookup — what lets DuckDB/GRainDB beat the
           // GDBMS's sequential node scan on IS1/IS4-style queries (§7.2.2).
           m.indexLookups += 1
-          Scan.rows(t.index(cat.pk(tname).get).rowsOf(pointKey.get), test)
-        } else if (filters.isEmpty) Scan.all(t, test)
-        else Scan.setBits(t.numRows, filters.reduce(_ and _), test)
+          Scan.rows(t.index(pk).rowsOf(key), test)
+        case _ if filters.isEmpty => Scan.all(t, test)
+        case _                    => Scan.setBits(t.numRows, filters.reduce(_ and _), test)
+      }
       m.scanned(alias) = out.scanned
       m.zonesSkipped += out.zonesSkipped
       Rel.leaf(alias, t, out.rows)
@@ -147,14 +147,4 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
         if (best < 0) null else c.any(best)
     }
   }
-
-  /** Top-level equality on the table's PK (conjuncts allowed). */
-  private def pointLookupKey(p: Pred, pk: Option[String]): Option[Long] = pk.flatMap { k =>
-    p match {
-      case Cmp(c, OpEq, LL(v)) if c == k => Some(v)
-      case AndP(ps)                      => ps.collectFirst { case Cmp(c, OpEq, LL(v)) if c == k => v }
-      case _                             => None
-    }
-  }
 }
-

@@ -19,7 +19,7 @@ object RidMaterializer {
     * `__rid` = r. RIDs are assigned once and then fixed (they are pointers,
     * §6), so the order is a total sort on the primary key: ascending,
     * lexicographic over composite keys, NULL first, and the order SQL's
-    * `ORDER BY` gives (strings by code point, i.e. UTF-8 bytes; -0.0 = 0.0
+    * `ORDER BY` gives (strings by [[CodePointOrder]]; -0.0 = 0.0
     * and NaN above all for floats). Equal keys keep their input order.
     */
   def ridOrder(rows: Array[Row], schema: StructType, pkCols: Seq[String]): Array[Int] = {
@@ -45,7 +45,7 @@ object RidMaterializer {
         (i, j) => if (a(i) == a(j)) 0 else java.lang.Double.compare(a(i), a(j))
       case StringType =>
         val a = rows.map(_.getString(c))
-        (i, j) => compareCodePoints(a(i), a(j))
+        (i, j) => CodePointOrder.compare(a(i), a(j))
       case _ =>
         val a = rows.map(_.get(c).asInstanceOf[Comparable[Any]])
         (i, j) => a(i).compareTo(a(j))
@@ -54,16 +54,6 @@ object RidMaterializer {
       if (nulls(i)) { if (nulls(j)) 0 else -1 }
       else if (nulls(j)) 1
       else values(i, j)
-  }
-
-  private def compareCodePoints(a: String, b: String): Int = {
-    var i = 0
-    while (i < a.length && i < b.length) {
-      val (x, y) = (a.codePointAt(i), b.codePointAt(i))
-      if (x != y) return Integer.compare(x, y)
-      i += Character.charCount(x)
-    }
-    Integer.compare(a.length - i, b.length - i)
   }
 
   /** `rid_<fk>` for every F row and the number of dangling FKs: the RID of
@@ -242,25 +232,31 @@ final class GrainCatalog(val spark: SparkSession) {
     idx
   }
 
+  /** A RID index on every predefined join: the relationship tables of
+    * `extendedPairs` (table, fk, other fk) get the extended index in both
+    * directions (§5.2), every other predefined join a plain one. Returns
+    * this catalog. */
+  def indexAll(extendedPairs: Seq[(String, String, String)]): GrainCatalog = {
+    val ext = extendedPairs.flatMap { case (t, a, b) => Seq((t, a) -> b, (t, b) -> a) }.toMap
+    predefined.foreach(pj => buildRidIndex(pj.fTable, pj.fkCol, ext.get((pj.fTable, pj.fkCol))))
+    this
+  }
+
   def ridIndex(fTable: String, fkCol: String): Option[RidIndexCsr] =
     ridIndices.get((fTable, fkCol))
 }
 
 object GrainCatalog {
-  /** A ready catalog over `tables`: each registered with its primary key,
-    * every join in `predefs` predefined, frozen, and RID-indexed. The
-    * relationship tables of `extendedPairs` (table, fk, other fk) get the
-    * extended index in both directions (§5.2); every other predefined join
-    * gets a plain one.
+  /** A frozen catalog over `tables`: each registered with its primary key
+    * and every join in `predefs` predefined. It has no RID index yet
+    * ([[GrainCatalog.indexAll]] builds them).
     */
   def build(spark: SparkSession, tables: Seq[(String, DataFrame)], pks: Map[String, Seq[String]],
-            predefs: Seq[PredefJoin], extendedPairs: Seq[(String, String, String)]): GrainCatalog = {
+            predefs: Seq[PredefJoin]): GrainCatalog = {
     val cat = new GrainCatalog(spark)
     tables.foreach { case (name, df) => cat.register(name, df, pks(name)) }
     predefs.foreach(cat.predefine)
     cat.freeze()
-    val ext = extendedPairs.flatMap { case (t, a, b) => Seq((t, a) -> b, (t, b) -> a) }.toMap
-    predefs.foreach(pj => cat.buildRidIndex(pj.fTable, pj.fkCol, ext.get((pj.fTable, pj.fkCol))))
     cat
   }
 }

@@ -163,13 +163,11 @@ object JoinMerge {
     var merged = List.empty[MergedJoin]
     var p = plan
     val boundNodes = mutable.Set[Set[String]]()
-    val outAliases = (q.out.map(_.alias) ++ q.agg.toSeq.flatMap(a =>
-      a.groupBy.map(_.alias) ++ a.aggs.flatMap(_.of).map(_.alias))).toSet
 
     q.refs.foreach { r =>
       val touching = joins.filter(_.touches(r.alias))
       val eligible =
-        r.pred.isEmpty && !outAliases(r.alias) && touching.size == 2 && {
+        q.readCols(r.alias).isEmpty && touching.size == 2 && {
           touching.forall { j =>
             val (oAlias, oCol) = j.other(r.alias)
             cat.findPredef(r.table, j.colOf(r.alias), q.ref(oAlias).table, oCol).isDefined
@@ -177,7 +175,7 @@ object JoinMerge {
         } && {
           touching.forall(j =>
             cat.ridIndex(r.table, j.colOf(r.alias)).exists(_.extended))
-        } && containsLeaf(p, r.alias)
+        } && p.aliases.contains(r.alias)
       if (eligible) {
         val Seq(j1, j2) = touching
         val (aAlias, _) = j1.other(r.alias)
@@ -198,14 +196,9 @@ object JoinMerge {
   /** The leaves of the lowest join node of `p` with `a` and `b` on different
     * sides. */
   private def bindingNode(p: Plan, a: String, b: String): Set[String] = p match {
-    case Jn(l, _) if containsLeaf(l, a) && containsLeaf(l, b) => bindingNode(l, a, b)
-    case Jn(_, r) if containsLeaf(r, a) && containsLeaf(r, b) => bindingNode(r, a, b)
-    case _                                                   => p.aliases.toSet
-  }
-
-  private def containsLeaf(p: Plan, alias: String): Boolean = p match {
-    case Lf(a)    => a == alias
-    case Jn(l, r) => containsLeaf(l, alias) || containsLeaf(r, alias)
+    case Jn(l, _) if l.aliases.contains(a) && l.aliases.contains(b) => bindingNode(l, a, b)
+    case Jn(_, r) if r.aliases.contains(a) && r.aliases.contains(b) => bindingNode(r, a, b)
+    case _                                                          => p.aliases.toSet
   }
 
   /** Remove leaf `alias` from the tree; None if the tree is just that leaf. */

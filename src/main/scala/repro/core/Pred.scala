@@ -6,9 +6,8 @@ import org.apache.spark.sql.functions.{col, lit}
 /** Literal values usable in benchmark predicates.
   *
   * Kept to three runtime types (long, double, string) so the same literal can
-  * be compiled to a Spark [[Column]], to DuckDB SQL over VARCHAR-typed oracle
-  * tables (with explicit casts), and evaluated against the serial columnar
-  * engine's arrays.
+  * be compiled to a Spark [[Column]], to DuckDB SQL over the oracle's typed
+  * tables, and evaluated against the serial columnar engine's arrays.
   */
 sealed trait Lit {
   /** SQL literal text (DuckDB dialect). */
@@ -31,6 +30,31 @@ case object OpLt extends Op("<")
 case object OpLe extends Op("<=")
 case object OpGt extends Op(">")
 case object OpGe extends Op(">=")
+
+/** The order of strings in every engine: by code point, which is the order
+  * of their UTF-8 bytes and the one Spark and DuckDB compare and sort by.
+  * `String.compareTo` compares UTF-16 units instead, and puts a character
+  * above U+FFFF (a surrogate pair) below U+E000–U+FFFF. The serial engine's
+  * dictionaries and RID order both use this one.
+  */
+object CodePointOrder extends Ordering[String] {
+  def compare(a: String, b: String): Int = {
+    val n = math.min(a.length, b.length)
+    var i = 0
+    while (i < n) {
+      val x = a.charAt(i)
+      val y = b.charAt(i)
+      if (x != y) return Integer.compare(rank(x), rank(y))
+      i += 1
+    }
+    Integer.compare(a.length, b.length)
+  }
+
+  /** A UTF-16 unit's rank in code-point order: surrogates, which encode
+    * the code points above U+FFFF, move above U+E000–U+FFFF. */
+  private def rank(c: Char): Int =
+    if (c < 0xD800) c else if (c < 0xE000) c + 0x2000 else c - 0x800
+}
 
 /** A tiny predicate AST over the columns of a single table reference.
   *
@@ -91,19 +115,11 @@ object Pred {
     case OrP(ps)       => ps.map(toColumn(_, prefix)).reduce(_ || _)
   }
 
-  /** SQL over the oracle's VARCHAR tables: numeric comparisons need casts. */
+  /** SQL over the oracle's tables, whose columns carry their Spark types. */
   def toSql(p: Pred, alias: String): String = p match {
-    case Cmp(c, op, l) => s"${castRef(alias, c, l)} ${op.sym} ${l.sql}"
-    case InList(c, ls) =>
-      val l0 = ls.head
-      s"${castRef(alias, c, l0)} IN (${ls.map(_.sql).mkString(", ")})"
-    case AndP(ps) => ps.map(toSql(_, alias)).mkString("(", " AND ", ")")
-    case OrP(ps)  => ps.map(toSql(_, alias)).mkString("(", " OR ", ")")
-  }
-
-  private def castRef(alias: String, c: String, l: Lit): String = l match {
-    case _: LL => s"CAST($alias.$c AS BIGINT)"
-    case _: LD => s"CAST($alias.$c AS DOUBLE)"
-    case _: LS => s"$alias.$c"
+    case Cmp(c, op, l) => s"$alias.$c ${op.sym} ${l.sql}"
+    case InList(c, ls) => s"$alias.$c IN (${ls.map(_.sql).mkString(", ")})"
+    case AndP(ps)      => ps.map(toSql(_, alias)).mkString("(", " AND ", ")")
+    case OrP(ps)       => ps.map(toSql(_, alias)).mkString("(", " OR ", ")")
   }
 }

@@ -4,7 +4,15 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.types.{DoubleType, FloatType, DecimalType}
 
 /** A table occurrence in a query: `table AS alias`, with an optional filter. */
-final case class TableRef(alias: String, table: String, pred: Option[Pred] = None)
+final case class TableRef(alias: String, table: String, pred: Option[Pred] = None) {
+  /** The key of a primary-key point lookup: the long literal of a top-level
+    * equality on primary-key column `pk`, alone or among conjuncts. */
+  def pointKey(pk: String): Option[Long] = pred.flatMap {
+    case Cmp(`pk`, OpEq, LL(v)) => Some(v)
+    case AndP(ps)               => ps.collectFirst { case Cmp(`pk`, OpEq, LL(v)) => v }
+    case _                      => None
+  }
+}
 
 /** A single-column equality join predicate between two aliases. */
 final case class JoinPred(a: String, acol: String, b: String, bcol: String) {
@@ -20,9 +28,9 @@ final case class JoinPred(a: String, acol: String, b: String, bcol: String) {
   * orders for both systems, see §7.1, so we do the same).
   */
 sealed trait Plan { def aliases: Seq[String] }
-final case class Lf(alias: String) extends Plan { def aliases: Seq[String] = Seq(alias) }
+final case class Lf(alias: String) extends Plan { val aliases: Seq[String] = Seq(alias) }
 final case class Jn(l: Plan, r: Plan) extends Plan {
-  def aliases: Seq[String] = l.aliases ++ r.aliases
+  lazy val aliases: Seq[String] = l.aliases ++ r.aliases
 }
 
 /** An output column `alias.col`, surfaced as `alias_col` in every engine. */
@@ -57,16 +65,20 @@ final case class Query(
 
   def plan: Plan = planOpt.getOrElse(QueryIR.leftDeep(refs.map(_.alias)))
 
-  /** Bare columns of `alias` needed anywhere (output, filter, join). */
-  def neededCols(alias: String): Seq[String] = {
-    val fromOut  = out.filter(_.alias == alias).map(_.col)
-    val fromAgg  = agg.toSeq.flatMap(a =>
-      a.groupBy.filter(_.alias == alias).map(_.col) ++
-        a.aggs.flatMap(_.of).filter(_.alias == alias).map(_.col))
-    val fromPred = ref(alias).pred.toSeq.flatMap(_.cols)
-    val fromJoin = joins.filter(_.touches(alias)).map(_.colOf(alias))
-    (fromOut ++ fromAgg ++ fromPred ++ fromJoin).distinct
+  /** Bare columns of `alias` the query reads besides its join columns: the
+    * output, group-by, aggregate and filter columns. */
+  def readCols(alias: String): Seq[String] = readColsOf(alias)
+
+  // Computed once per query: the lowering asks for every leaf on every run.
+  private lazy val readColsOf: Map[String, Seq[String]] = {
+    val cols = out ++ agg.toSeq.flatMap(a => a.groupBy ++ a.aggs.flatMap(_.of))
+    refs.map(r => r.alias ->
+      (cols.filter(_.alias == r.alias).map(_.col) ++ r.pred.toSeq.flatMap(_.cols)).distinct).toMap
   }
+
+  /** Bare columns of `alias` needed anywhere (output, filter, join). */
+  def neededCols(alias: String): Seq[String] =
+    (readCols(alias) ++ joins.filter(_.touches(alias)).map(_.colOf(alias))).distinct
 }
 
 object QueryIR {
@@ -83,47 +95,27 @@ object QueryIR {
   def leftDeep(aliases: Seq[String]): Plan =
     aliases.tail.foldLeft[Plan](Lf(aliases.head))((acc, a) => Jn(acc, Lf(a)))
 
-  /** DuckDB SQL for the oracle. Oracle tables are all-VARCHAR, so numeric
-    * columns are cast explicitly; `schemas` maps table name -> DataFrame
-    * (used to decide which output/agg columns are floating-point).
+  /** DuckDB SQL for the oracle, whose tables carry the Spark schema's
+    * types; `schemas` maps table name -> DataFrame (used to decide which
+    * aggregated columns are floating-point).
     */
   def toSql(q: Query, schemas: Map[String, DataFrame]): String = {
-    def isFloat(oc: OutCol): Boolean = isFloatCol(schemas(q.ref(oc.alias).table), oc.col)
-    def castOut(oc: OutCol): String =
-      if (isFloat(oc)) s"CAST(${oc.alias}.${oc.col} AS DOUBLE)"
-      else s"${oc.alias}.${oc.col}"
+    def ref(oc: OutCol): String = s"${oc.alias}.${oc.col}"
     def aggSql(a: AggExpr): String = a.fn match {
       case "countstar" => s"COUNT(*) AS ${a.as}"
-      case "count"     => s"COUNT(${a.of.get.alias}.${a.of.get.col}) AS ${a.as}"
       case fn =>
         val oc = a.of.get
-        val floatCol = isFloat(oc)
         // match SparkExec: floating sums/avgs go through exact integer cents
-        // (order-independent); min/max over string columns stay uncast.
-        if ((fn == "sum" || fn == "avg") && floatCol) {
-          val centsBody = s"ROUND(CAST(${oc.alias}.${oc.col} AS DOUBLE) * 100, 0)"
-          s"CAST(ROUND(${fn.toUpperCase}($centsBody), 0) AS BIGINT) AS ${a.as}"
-        } else {
-          val body =
-            if (fn == "min" || fn == "max") {
-              val df = schemas(q.ref(oc.alias).table)
-              val isStr = df.schema.fields.find(_.name == oc.col)
-                .exists(_.dataType.typeName == "string")
-              if (isStr) s"${oc.alias}.${oc.col}"
-              else if (floatCol) s"CAST(${oc.alias}.${oc.col} AS DOUBLE)"
-              else s"CAST(${oc.alias}.${oc.col} AS BIGINT)"
-            } else s"CAST(${oc.alias}.${oc.col} AS BIGINT)"
-          if (fn == "avg") s"ROUND(${fn.toUpperCase}($body), 1) AS ${a.as}"
-          else s"${fn.toUpperCase}($body) AS ${a.as}"
-        }
+        // (order-independent).
+        if ((fn == "sum" || fn == "avg") && isFloatCol(schemas(q.ref(oc.alias).table), oc.col))
+          s"CAST(ROUND(${fn.toUpperCase}(ROUND(${ref(oc)} * 100, 0)), 0) AS BIGINT) AS ${a.as}"
+        else if (fn == "avg") s"ROUND(AVG(${ref(oc)}), 1) AS ${a.as}"
+        else s"${fn.toUpperCase}(${ref(oc)}) AS ${a.as}"
     }
 
     val select = q.agg match {
-      case Some(a) =>
-        (a.groupBy.map(oc => s"${castOut(oc)} AS ${oc.name}") ++ a.aggs.map(aggSql))
-          .mkString(", ")
-      case None =>
-        q.out.map(oc => s"${castOut(oc)} AS ${oc.name}").mkString(", ")
+      case Some(a) => (a.groupBy.map(oc => s"${ref(oc)} AS ${oc.name}") ++ a.aggs.map(aggSql)).mkString(", ")
+      case None    => q.out.map(oc => s"${ref(oc)} AS ${oc.name}").mkString(", ")
     }
     val from = q.refs.map(r => s"${r.table} AS ${r.alias}").mkString(", ")
     val conds =
@@ -132,7 +124,7 @@ object QueryIR {
     val where = if (conds.isEmpty) "" else conds.mkString(" WHERE ", " AND ", "")
     val group = q.agg match {
       case Some(a) if a.groupBy.nonEmpty =>
-        " GROUP BY " + a.groupBy.map(oc => s"${oc.alias}.${oc.col}").mkString(", ")
+        " GROUP BY " + a.groupBy.map(ref).mkString(", ")
       case _ => ""
     }
     s"SELECT $select FROM $from$where$group"

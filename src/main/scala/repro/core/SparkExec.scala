@@ -36,18 +36,11 @@ final class SparkExec(cat: GrainCatalog, cfg: GrainConfig) {
       // cardinality must not exceed the probe table's size. Estimates use
       // textbook FK-semijoin selectivity over the lowered plan.
       def estLeaf(alias: String): Double = {
-        val t = q.ref(alias).table
-        val n = cat.rows(t).toDouble
-        q.ref(alias).pred match {
-          case None => n
-          case Some(p) =>
-            val pointPk = cat.pk(t).exists(k => p match {
-              case Cmp(c, OpEq, _) => c == k
-              case AndP(ps)        => ps.exists { case Cmp(c, OpEq, _) => c == k; case _ => false }
-              case _               => false
-            })
-            if (pointPk) 1.0 else math.max(1.0, n / 20.0)
-        }
+        val r = q.ref(alias)
+        val n = cat.rows(r.table).toDouble
+        if (r.pred.isEmpty) n
+        else if (cat.pk(r.table).flatMap(r.pointKey).isDefined) 1.0
+        else math.max(1.0, n / 20.0)
       }
       def estRows(p: PhysPlan): Double = p match {
         case ScanLeaf(a) => estLeaf(a)
@@ -81,11 +74,7 @@ final class SparkExec(cat: GrainCatalog, cfg: GrainConfig) {
       def scan(alias: String): DataFrame = {
         val t = q.ref(alias).table
         val base = if (low.extended) cat.ext(t) else cat.raw(t)
-        val outPredCols = q.out.filter(_.alias == alias).map(_.col) ++
-          q.agg.toSeq.flatMap(a => a.groupBy.filter(_.alias == alias).map(_.col) ++
-            a.aggs.flatMap(_.of).filter(_.alias == alias).map(_.col)) ++
-          q.ref(alias).pred.toSeq.flatMap(_.cols)
-        val needed = (outPredCols ++ keyCols.getOrElse(alias, Nil) ++
+        val needed = (q.readCols(alias) ++ keyCols.getOrElse(alias, Nil) ++
           (if (low.extended) Seq("__rid") else Nil)).distinct
         var df = base.select(needed.map(c => col(c).as(Key(alias, c).name)): _*)
         q.ref(alias).pred.foreach(p => df = df.filter(Pred.toColumn(p, alias + "_")))

@@ -224,5 +224,5 @@ object ImdbData {
     ("complete_cast", "movie_id", "subject_id"))
 
   def catalog(spark: SparkSession, s: Double, seed: Long = 11): GrainCatalog =
-    GrainCatalog.build(spark, tables(spark, s, seed).toSeq, pks, predefs, extendedPairs)
+    GrainCatalog.build(spark, tables(spark, s, seed).toSeq, pks, predefs).indexAll(extendedPairs)
 }

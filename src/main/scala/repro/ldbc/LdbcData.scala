@@ -196,5 +196,5 @@ object LdbcData {
 
   /** Full GRainDB catalog: registered, predefined, frozen, indexed. */
   def catalog(spark: SparkSession, s: Double, seed: Long = 7): GrainCatalog =
-    GrainCatalog.build(spark, tables(spark, s, seed).toSeq, pks, predefs, extendedPairs)
+    GrainCatalog.build(spark, tables(spark, s, seed).toSeq, pks, predefs).indexAll(extendedPairs)
 }

@@ -36,20 +36,12 @@ object TpchQueries {
     PredefJoin("partsupp", "ps_partkey", "part", "p_partkey"),
     PredefJoin("partsupp", "ps_suppkey", "supplier", "s_suppkey"))
 
-  def catalog(spark: SparkSession, sf: Double): GrainCatalog = {
-    val cat = new GrainCatalog(spark)
-    cat.register("lineitem", SynthData.lineitem(spark, sf), pks("lineitem"))
-    cat.register("orders", SynthData.orders(spark, sf), pks("orders"))
-    cat.register("customer", SynthData.customer(spark, sf), pks("customer"))
-    cat.register("part", SynthData.part(spark, sf), pks("part"))
-    cat.register("supplier", SynthData.supplier(spark, sf), pks("supplier"))
-    cat.register("nation", SynthData.nation(spark), pks("nation"))
-    cat.register("region", SynthData.region(spark), pks("region"))
-    cat.register("partsupp", SynthData.partsupp(spark, sf), pks("partsupp"))
-    predefs.foreach(cat.predefine)
-    cat.freeze()
-    cat
-  }
+  def catalog(spark: SparkSession, sf: Double): GrainCatalog =
+    GrainCatalog.build(spark, Seq(
+      "lineitem" -> SynthData.lineitem(spark, sf), "orders" -> SynthData.orders(spark, sf),
+      "customer" -> SynthData.customer(spark, sf), "part" -> SynthData.part(spark, sf),
+      "supplier" -> SynthData.supplier(spark, sf), "nation" -> SynthData.nation(spark),
+      "region" -> SynthData.region(spark), "partsupp" -> SynthData.partsupp(spark, sf)), pks, predefs)
 
   private def oc(a: String, c: String) = OutCol(a, c)
   private def sum(a: String, c: String, as: String) = AggExpr("sum", Some(oc(a, c)), as)

@@ -3,6 +3,7 @@ package repro.columnar
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalacheck.rng.Seed
 import repro.SparkSpec
+import repro.core.{Pred, PredReference}
 
 /** Column store loading and the value (adjacency-analogue) index. */
 class ColumnStoreSpec extends SparkSpec {
@@ -30,13 +31,14 @@ class ColumnStoreSpec extends SparkSpec {
     assert(a.indices.forall(i => if (a(i) == null) codes(i) == -1 else dict(codes(i)) == a(i)))
   }
 
-  test("the dictionary is sorted: codes keep the values' compareTo order") {
+  test("the dictionary is sorted: codes keep the values' code-point order") {
+    def lt(x: String, y: String) = PredReference.compareStrings(x, y) < 0
     def ordered(a: Array[String]): Boolean = {
       val StringCol(_, codes, dict) = StringCol(a)
       val rows = a.indices.filter(a(_) != null)
-      dict.indices.drop(1).forall(k => dict(k - 1).compareTo(dict(k)) < 0) &&
+      dict.indices.drop(1).forall(k => lt(dict(k - 1), dict(k))) &&
         a.indices.forall(i => if (a(i) == null) codes(i) == -1 else dict(codes(i)) == a(i)) &&
-        rows.forall(i => rows.forall(j => (codes(i) < codes(j)) == (a(i).compareTo(a(j)) < 0)))
+        rows.forall(i => rows.forall(j => (codes(i) < codes(j)) == lt(a(i), a(j))))
     }
     val loaded = new ColumnStore().load("t",
       Seq(Some("pear"), None, Some("Apple"), Some(""), Some("apple"), Some("pear"), Some("\u00e9")).toDF("s"))
@@ -44,12 +46,34 @@ class ColumnStoreSpec extends SparkSpec {
     assert(dict.toSeq == Seq("", "Apple", "apple", "pear", "\u00e9"))
     assert(ordered(a))
     // random columns: short strings over a small alphabet (shared prefixes,
-    // the empty string, repeats, case) and nulls
+    // the empty string, repeats, case, a character above U+FFFF) and nulls
     val gen = Gen.listOf(Gen.frequency(1 -> Gen.const(null: String),
-      6 -> Gen.choose(0, 3).flatMap(Gen.listOfN(_, Gen.oneOf('a', 'b', 'B', '\u00e9'))).map(_.mkString)))
+      6 -> Gen.choose(0, 3).flatMap(Gen.listOfN(_, Gen.oneOf("a", "b", "B", "\u00e9", "～", "", "😀"))).map(_.mkString)))
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300)
       .withInitialSeed(Seed(20232L)).withWorkers(1), Prop.forAll(gen)(xs => ordered(xs.toArray)))
     assert(res.passed, res.status.toString)
+  }
+
+  // "～" is U+FF5E and "😀" U+1F600, a surrogate pair in UTF-16: by code
+  // point (Spark, DuckDB) "😀" sorts above "～", by UTF-16 unit below it.
+  private val wide = Seq("a", "～", "😀", "", "b")
+
+  test("the dictionary is in Spark's ORDER BY order, beyond U+FFFF too") {
+    val df = wide.toDF("s")
+    val StringCol(_, _, dict) = new ColumnStore().load("t", df).col("s")
+    assert(dict.toSeq == df.orderBy("s").collect().map(_.getString(0)).toSeq)
+  }
+
+  test("a serial string range keeps what Spark's comparison keeps, beyond U+FFFF too") {
+    val df = wide.toDF("s")
+    val t = new ColumnStore().load("t", df)
+    val StringCol(a, _, _) = t.col("s")
+    for (lit <- wide :+ "\u00e9") {
+      val p = Pred.ltS("s", lit)
+      val serial = Scan.all(t, Filter(p, t)).rows.map(a(_)).toSeq
+      val viaSpark = df.filter(Pred.toColumn(p, "")).collect().map(_.getString(0)).toSeq
+      assert(serial.sorted == viaSpark.sorted, lit)
+    }
   }
 
   test("integers are widened to long columns") {

@@ -34,6 +34,16 @@ class ColumnarExecSpec extends SparkSpec {
     assert(m.indexLookups == 1)
   }
 
+  test("a PK equality among conjuncts is still a point lookup") {
+    val is4 = q("IS4")
+    val c = is4.refs.head
+    val both = is4.copy(refs = Seq(c.copy(pred = Some(Pred.and(Pred.gtS("content", ""), c.pred.get)))))
+    val exec = new ColumnarExec(store, cat, GrainConfig.Duck)
+    val (r, m) = exec.run(both)
+    assert(m.scanned("c") == 1L && m.indexLookups == 1)
+    assert(r.rows.map(_.toSeq) == exec.run(is4)._1.rows.map(_.toSeq))
+  }
+
   test("join merging records zero scan for the dropped relationship leaf") {
     val (_, m) = new ColumnarExec(store, cat, GrainConfig.Full).run(q("IC1-1"))
     assert(m.scanned("k") == 0L)

@@ -75,7 +75,8 @@ class KernelsSpec extends AnyFunSuite {
   }
 
   test("property: dictionary-coded string predicates match Pred.eval on repetitive columns with nulls") {
-    val values = Seq[String](null, "", "a", "ab", "b", "z")
+    // "～" (U+FF5E) sorts below "😀" (U+1F600) by code point, above it by UTF-16 unit
+    val values = Seq[String](null, "", "a", "ab", "b", "z", "～", "😀")
     val strLits = values.filter(_ != null).map(LS(_)) :+ LS("aa")
     val gen = for {
       col <- Gen.listOfN(200, Gen.frequency(3 -> Gen.const(null: String), 10 -> Gen.oneOf(values)))

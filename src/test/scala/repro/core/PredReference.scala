@@ -1,10 +1,13 @@
 package repro.core
 
+import java.nio.charset.StandardCharsets.UTF_8
+
 /** Row-at-a-time evaluation of a [[Pred]] over boxed values: the reference
   * semantics that the compiled [[repro.columnar.Filter]]s are tested
-  * against. Numeric comparisons go through `toDouble`, a null never
-  * matches, in-lists compare only against literals of the value's own type,
-  * and an incomparable value/literal pair fails.
+  * against. Numeric comparisons go through `toDouble`, strings compare by
+  * their UTF-8 bytes, a null never matches, in-lists compare only against
+  * literals of the value's own type, and an incomparable value/literal pair
+  * fails.
   */
 object PredReference {
   /** Whether the row `get` reads satisfies `p`. */
@@ -42,12 +45,20 @@ object PredReference {
     case OpGt => x > y
     case OpGe => x >= y
   }
-  private def cmpStr(x: String, y: String, op: Op): Boolean = op match {
-    case OpEq => x == y
-    case OpNe => x != y
-    case OpLt => x < y
-    case OpLe => x <= y
-    case OpGt => x > y
-    case OpGe => x >= y
+  private def cmpStr(x: String, y: String, op: Op): Boolean = {
+    val c = compareStrings(x, y)
+    op match {
+      case OpEq => c == 0
+      case OpNe => c != 0
+      case OpLt => c < 0
+      case OpLe => c <= 0
+      case OpGt => c > 0
+      case OpGe => c >= 0
+    }
   }
+
+  /** SQL's string order, defined apart from [[CodePointOrder]]: by the
+    * strings' UTF-8 bytes, unsigned. */
+  def compareStrings(x: String, y: String): Int =
+    java.util.Arrays.compareUnsigned(x.getBytes(UTF_8), y.getBytes(UTF_8))
 }

@@ -56,14 +56,14 @@ class PredSpec extends AnyFunSuite {
     assert(!PredReference.eval(eqS("s", "a"), row("s" -> null)))
   }
 
-  test("SQL generation casts numerics over VARCHAR oracle columns") {
-    assert(Pred.toSql(eqL("x", 5), "t") == "CAST(t.x AS BIGINT) = 5")
-    assert(Pred.toSql(Cmp("x", OpLt, LD(4.5)), "t") == "CAST(t.x AS DOUBLE) < 4.5")
+  test("SQL generation compares the typed oracle columns uncast") {
+    assert(Pred.toSql(eqL("x", 5), "t") == "t.x = 5")
+    assert(Pred.toSql(Cmp("x", OpLt, LD(4.5)), "t") == "t.x < 4.5")
     assert(Pred.toSql(eqS("s", "a"), "t") == "t.s = 'a'")
     assert(Pred.toSql(eqS("s", "O'Neil"), "t") == "t.s = 'O''Neil'")
-    assert(Pred.toSql(inL("x", 1, 2), "t") == "CAST(t.x AS BIGINT) IN (1, 2)")
-    assert(Pred.toSql(and(eqL("x", 1), eqL("y", 2)), "t") ==
-      "(CAST(t.x AS BIGINT) = 1 AND CAST(t.y AS BIGINT) = 2)")
+    assert(Pred.toSql(inL("x", 1, 2), "t") == "t.x IN (1, 2)")
+    assert(Pred.toSql(or(eqL("x", 1), inS("s", "a", "b")), "t") == "(t.x = 1 OR t.s IN ('a', 'b'))")
+    assert(Pred.toSql(and(eqL("x", 1), eqL("y", 2)), "t") == "(t.x = 1 AND t.y = 2)")
   }
 
   test("property: long comparison agrees with Ordering[Long]") {

@@ -70,4 +70,15 @@ class QueryIRSpec extends AnyFunSuite {
   test("leftDeep builds the expected tree") {
     assert(QueryIR.leftDeep(Seq("a", "b", "c")) == Jn(Jn(Lf("a"), Lf("b")), Lf("c")))
   }
+
+  test("the PK point key is a top-level long equality on the key, alone or among conjuncts") {
+    import Pred._
+    def key(p: Pred) = TableRef("c", "comment", Some(p)).pointKey("id")
+    assert(key(eqL("id", 7)) == Some(7L))
+    assert(key(and(gtS("content", ""), eqL("id", 7))) == Some(7L))
+    assert(key(eqL("creatorid", 7)) == None)
+    assert(key(or(eqL("id", 7), eqL("id", 8))) == None)
+    assert(key(Cmp("id", OpEq, LD(7.0))) == None)
+    assert(TableRef("c", "comment").pointKey("id") == None)
+  }
 }

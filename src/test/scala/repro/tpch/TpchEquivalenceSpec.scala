@@ -1,5 +1,6 @@
 package repro.tpch
 
+import org.apache.spark.sql.DataFrame
 import repro.{Canon, Oracle, SparkSpec, StepCounts}
 import repro.core._
 import scala.collection.mutable
@@ -47,12 +48,17 @@ class TpchEquivalenceSpec extends SparkSpec {
     "Q21" -> ((1, 0, 0, 3)),
     "Q22" -> ((0, 0, 0, 1)))
 
+  /** Spark-Duck's result for `q`, checked against the oracle. */
+  private def oracleChecked(q: Query): DataFrame = {
+    val (df, _) = duck.run(q)
+    val tables = q.refs.map(_.table).distinct.map(t => t -> cat.raw(t))
+    Oracle.assertEquivalent(df, QueryIR.toSql(q, cat.rawMap), tables: _*)
+    df
+  }
+
   for (q <- TpchQueries.queries) {
     test(s"TPCH ${q.name}: spark-duck matches DuckDB oracle") {
-      val (df, _) = duck.run(q)
-      val tables = q.refs.map(_.table).distinct.map(t => t -> cat.raw(t))
-      Oracle.assertEquivalent(df, QueryIR.toSql(q, cat.rawMap), tables: _*)
-      expectedRows(q.name) = Canon.ofDf(df)
+      expectedRows(q.name) = Canon.ofDf(oracleChecked(q))
     }
 
     test(s"TPCH ${q.name}: spark-grain matches spark-duck") {
@@ -60,6 +66,22 @@ class TpchEquivalenceSpec extends SparkSpec {
       assert(Canon.ofDf(df) == expected(q), s"grain mismatch on ${q.name}")
       assert(StepCounts.of(m) == SparkGrainSteps(q.name), s"grain steps on ${q.name}")
     }
+  }
+
+  private def lineitemAgg(pred: Option[Pred], aggs: AggExpr*): Query =
+    Query("agg", Seq(TableRef("l", "lineitem", pred)), Nil, Nil, Some(AggSpec(Nil, aggs)))
+
+  test("TPCH oracle: a double column compares with a long literal as a double") {
+    // l_quantity is fractional: a column cast to the literal's type would
+    // round it before comparing
+    val q = lineitemAgg(Some(Pred.gt("l_quantity", 24)), AggExpr("countstar", None, "n"))
+    val n = oracleChecked(q).collect().head.getLong(0)
+    assert(n > 0 && n < cat.rows("lineitem"))
+  }
+
+  test("TPCH oracle: MIN and MAX over a date column") {
+    val of = Some(OutCol("l", "l_shipdate"))
+    oracleChecked(lineitemAgg(None, AggExpr("min", of, "lo"), AggExpr("max", of, "hi")))
   }
 
   test("TPCH: grain replaces value joins with RID joins on join queries") {
