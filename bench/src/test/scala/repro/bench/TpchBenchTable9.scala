@@ -1,6 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.StepCounts
 import repro.core._
 import repro.tpch.TpchQueries
 
@@ -20,7 +21,7 @@ class TpchBenchTable9 extends AnyFunSuite {
     val rows = TpchQueries.queries.map { q =>
       val duckMs  = Bench.timeMs(warmup = 1, runs = 2)(duck.run(q))
       val grainMs = Bench.timeMs(warmup = 1, runs = 2)(grain.run(q))
-      Row(q.name, duckMs, grainMs, grain.run(q)._2.ridJoins)
+      Row(q.name, duckMs, grainMs, StepCounts.of(grain.plan(q))._4)
     }
 
     val sb = new StringBuilder

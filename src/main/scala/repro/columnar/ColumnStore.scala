@@ -1,6 +1,6 @@
 package repro.columnar
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.types._
 import repro.core.{CodePointOrder, GrainCatalog}
 import scala.collection.mutable
@@ -72,8 +72,8 @@ object StringCol {
 }
 
 /** One in-memory columnar table: the serial engine's storage, loaded once
-  * from the RID-extended Spark DataFrame in `__rid` order so that array
-  * position == RID (RIDs are virtual positional offsets, §3).
+  * from the RID-extended Spark DataFrame, which is in RID order, so that
+  * array position == RID (RIDs are virtual positional offsets, §3).
   */
 final class TableData(val name: String, val colNames: IndexedSeq[String],
                       val cols: IndexedSeq[ColData], val numRows: Int) {
@@ -104,19 +104,28 @@ final class ColumnStore {
 
   def apply(name: String): TableData = tables(name)
 
-  /** Load a DataFrame with one `collect`, placing each row at its `__rid`
-    * when the column is present, so array index == RID. Dates and any
-    * unrecognised types are stored as strings.
+  /** Load a DataFrame with one `collect`, in collect order. An extended
+    * frame is already in RID order, so array index == RID: its `__rid`
+    * column is checked against the row positions, failing on the first row
+    * that differs, and is not stored. Dates and any unrecognised types are
+    * stored as strings.
     */
   def load(name: String, df: DataFrame): TableData = {
-    val fields = df.schema.fields
-    val rows = fields.indexWhere(_.name == "__rid") match {
-      case -1 => df.collect()
-      case ri => inRidOrder(name, df.collect(), ri)
-    }
+    val rows = df.collect()
     val n = rows.length
-    val cols: IndexedSeq[ColData] = fields.zipWithIndex.map { case (f, ci) =>
-      f.dataType match {
+    val fields = df.schema.fields
+    val ridIdx = fields.indexWhere(_.name == "__rid")
+    if (ridIdx >= 0) {
+      var i = 0
+      while (i < n) {
+        val rid = rows(i).getLong(ridIdx)
+        require(rid == i, s"$name: row $i holds __rid $rid; an extended table must be in RID order")
+        i += 1
+      }
+    }
+    val stored = fields.indices.filter(_ != ridIdx)
+    val cols: IndexedSeq[ColData] = stored.map { ci =>
+      fields(ci).dataType match {
         case LongType | IntegerType | ShortType | ByteType =>
           val a = new Array[Long](n)
           var i = 0
@@ -141,23 +150,10 @@ final class ColumnStore {
           while (i < n) { val v = rows(i).get(ci); if (v != null) a(i) = v.toString; i += 1 }
           StringCol(a)
       }
-    }.toIndexedSeq
-    val t = new TableData(name, fields.map(_.name).toIndexedSeq, cols, n)
+    }
+    val t = new TableData(name, stored.map(fields(_).name), cols, n)
     tables(name) = t
     t
-  }
-
-  /** `rows` permuted so that row r is the one whose `__rid` is r; RIDs
-    * outside 0 until n, or repeated, fail. */
-  private def inRidOrder(name: String, rows: Array[Row], ridIdx: Int): Array[Row] = {
-    val out = new Array[Row](rows.length)
-    rows.foreach { r =>
-      val rid = r.getLong(ridIdx)
-      require(rid >= 0 && rid < out.length && out(rid.toInt) == null,
-        s"$name: __rid $rid is out of range or repeated (${out.length} rows)")
-      out(rid.toInt) = r
-    }
-    out
   }
 }
 

@@ -26,11 +26,21 @@ final class Inter(val schema: IndexedSeq[String], val rows: mutable.ArrayBuffer[
   * row-id vectors, one per alias. Column values are read from the base
   * arrays only for join keys, bitmasks and the final projection or
   * aggregate, which is boxed into an [[Inter]] once.
+  *
+  * The catalog must be frozen and indexed before the executor is made: a
+  * query's plan is made on its first run, or first [[plan]] request, and
+  * kept for every later one.
   */
 final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig) {
+  private val plans = mutable.HashMap[Query, Lowered]()
+
+  /** `q` lowered under this executor's config: the plan every run of `q`
+    * executes, every step of it. */
+  def plan(q: Query): Lowered = plans.getOrElseUpdate(q, GrainPlanner.lower(q, cfg, cat))
+
   def run(q: Query): (Inter, QueryMetrics) = {
     val m = new QueryMetrics
-    val low = GrainPlanner.lower(q, q.plan, cfg, cat)
+    val low = plan(q)
     val scanFilters = mutable.Map[String, mutable.ArrayBuffer[RowMask]]()
     low.mergedAway.foreach(m.scanned(_) = 0L)
 
@@ -68,11 +78,9 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
         j.steps.foreach { s =>
           scanFilters.getOrElseUpdate(s.target, mutable.ArrayBuffer.empty) +=
             s.mask(maskOf(s.from), rowsOf(s.target))
-          m.ran(s)
         }
 
         val interR = exec(j.probe)
-        m.joined(j)
 
         val (li, ri) = j.kind match {
           case IdxMerge(from, idx, to, _) =>

@@ -225,9 +225,7 @@ final class GrainCatalog(val spark: SparkSession) {
       ridArrays.getOrElse((fTable, c), sys.error(s"no predefined join on $fTable.$c"))
     val pj = predefined.find(p => p.fTable == fTable && p.fkCol == fkCol)
       .getOrElse(sys.error(s"no predefined join on $fTable.$fkCol"))
-    val keys = ridsOf(fkCol)
-    val idx = RidIndexCsr.build(rows(pj.pTable).toInt, keys, Array.range(0, keys.length),
-      extendedWith.map(ridsOf).orNull)
+    val idx = RidIndexCsr.build(rows(pj.pTable).toInt, ridsOf(fkCol), extendedWith.map(ridsOf).orNull)
     ridIndices((fTable, fkCol)) = idx
     idx
   }

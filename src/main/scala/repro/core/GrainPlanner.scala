@@ -91,11 +91,13 @@ final class Lowered(val root: PhysPlan, val extended: Boolean) {
 /** Lowers a query and its pinned plan to the [[PhysPlan]] both executors
   * run: the one place that decides, per [[GrainConfig]] step, how each
   * edge is rewritten and which sideways steps and merged joins fire.
+  * Each executor lowers a query once and keeps the result.
   */
 object GrainPlanner {
-  def lower(q: Query, plan: Plan, cfg: GrainConfig, cat: GrainCatalog): Lowered = {
+  def lower(q: Query, cfg: GrainConfig, cat: GrainCatalog): Lowered = {
     import GrainConfig._
-    val (joins, merged, p) = JoinMerge.preprocess(q, plan, cat, enabled = cfg.includes(Full))
+    val (joins, merged, p) =
+      if (cfg.includes(Full)) JoinMerge.preprocess(q, cat) else (q.joins, Seq.empty, q.plan)
 
     def extendedIndex(mj: MergedJoin, fk: String): RidIndexCsr =
       cat.ridIndex(mj.fTable, fk).filter(_.extended)
@@ -144,9 +146,10 @@ object GrainPlanner {
   }
 }
 
-/** Join-merging preprocessing (§5.2), run by [[GrainPlanner.lower]]: drop
-  * relationship leaves that only facilitate a P1–F–P2 join, replacing their
-  * two edges by a [[MergedJoin]]. Requires extended RID indices in both
+/** Join-merging preprocessing (§5.2), run by [[GrainPlanner.lower]] under
+  * [[GrainConfig.Full]]: drop from the query's pinned plan the relationship
+  * leaves that only facilitate a P1–F–P2 join, replacing their two edges by
+  * a [[MergedJoin]]. Requires extended RID indices in both
   * directions (forward/backward adjacency, §5.2) so the merge works
   * regardless of which entity ends up on the build side.
   *
@@ -156,9 +159,8 @@ object GrainPlanner {
   * in the plan as an ordinary relationship scan.
   */
 object JoinMerge {
-  def preprocess(q: Query, plan: Plan, cat: GrainCatalog, enabled: Boolean)
-      : (Seq[JoinPred], Seq[MergedJoin], Plan) = {
-    if (!enabled) return (q.joins, Seq.empty, plan)
+  def preprocess(q: Query, cat: GrainCatalog): (Seq[JoinPred], Seq[MergedJoin], Plan) = {
+    val plan = q.plan
     var joins = q.joins
     var merged = List.empty[MergedJoin]
     var p = plan

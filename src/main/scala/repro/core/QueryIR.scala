@@ -67,13 +67,9 @@ final case class Query(
 
   /** Bare columns of `alias` the query reads besides its join columns: the
     * output, group-by, aggregate and filter columns. */
-  def readCols(alias: String): Seq[String] = readColsOf(alias)
-
-  // Computed once per query: the lowering asks for every leaf on every run.
-  private lazy val readColsOf: Map[String, Seq[String]] = {
+  def readCols(alias: String): Seq[String] = {
     val cols = out ++ agg.toSeq.flatMap(a => a.groupBy ++ a.aggs.flatMap(_.of))
-    refs.map(r => r.alias ->
-      (cols.filter(_.alias == r.alias).map(_.col) ++ r.pred.toSeq.flatMap(_.cols)).distinct).toMap
+    (cols.filter(_.alias == alias).map(_.col) ++ ref(alias).pred.toSeq.flatMap(_.cols)).distinct
   }
 
   /** Bare columns of `alias` needed anywhere (output, filter, join). */

@@ -102,8 +102,9 @@ final class RidIndexCsr(
 }
 
 object RidIndexCsr {
-  /** Build from parallel arrays of (key RID, F RID[, other RID]) tuples. */
-  def build(nKeys: Int, keys: Array[Int], fs: Array[Int], others: Array[Int]): RidIndexCsr = {
+  /** Build from F-row-aligned arrays, position `i` being F RID `i`: `keys`
+    * (-1 dangling, left out) and `others` (null unless extended) RIDs. */
+  def build(nKeys: Int, keys: Array[Int], others: Array[Int]): RidIndexCsr = {
     val n = keys.length
     val counts = new Array[Int](nKeys + 1)
     var i = 0
@@ -119,7 +120,7 @@ object RidIndexCsr {
       val k = keys(i)
       if (k >= 0) {
         val w = cursor(k)
-        fOut(w) = fs(i)
+        fOut(w) = i
         if (oOut != null) oOut(w) = others(i)
         cursor(k) = w + 1
       }

@@ -16,52 +16,68 @@ import scala.collection.mutable
   * Execution is two-phase: the build side runs (and is persisted) before
   * its bitmasks are built and the probe side is constructed. That costs a
   * pass DuckDB does not pay, so this executor alone gates SJoin and
-  * SJoinIdxR steps on an estimate of their benefit.
+  * SJoinIdxR steps on an estimate of their benefit, once, when it makes a
+  * query's plan.
+  *
+  * The catalog must be frozen and indexed before the executor is made: a
+  * query's plan is made on its first run, or first [[plan]] request, and
+  * kept for every later one.
   */
 final class SparkExec(cat: GrainCatalog, cfg: GrainConfig) {
+  private val plans = mutable.HashMap[Query, Lowered]()
+
+  /** `q` lowered under this executor's config, without the steps the sip
+    * benefit gate drops: the plan every run of `q` executes. */
+  def plan(q: Query): Lowered = plans.getOrElseUpdate(q, gated(q, GrainPlanner.lower(q, cfg, cat)))
+
+  // In DuckDB sip is free: the hash build materializes the build side
+  // anyway. Our two-phase Spark emulation pays an extra pass, so we pass
+  // information only when it can pay for itself: the estimated build
+  // cardinality must not exceed the probe table's size. Estimates use
+  // textbook FK-semijoin selectivity over the lowered plan. The merged
+  // join's mask is not gated.
+  private def gated(q: Query, low: Lowered): Lowered = {
+    def estLeaf(alias: String): Double = {
+      val r = q.ref(alias)
+      val n = cat.rows(r.table).toDouble
+      if (r.pred.isEmpty) n
+      else if (cat.pk(r.table).flatMap(r.pointKey).isDefined) 1.0
+      else math.max(1.0, n / 20.0)
+    }
+    // `p` without its gated steps, and its estimated rows.
+    def gate(p: PhysPlan): (PhysPlan, Double) = p match {
+      case ScanLeaf(a) => (p, estLeaf(a))
+      case j: JoinNode =>
+        val (build, el) = gate(j.build); val (probe, er) = gate(j.probe)
+        val steps = j.steps.filter(s =>
+          s.isInstanceOf[MapToOther] || el <= cat.rows(q.ref(s.target).table).toDouble)
+        val est = j.keys.headOption.flatMap(_.rewrite) match {
+          case Some(Rewrites.FkPk(fkAlias, _, pkAlias, _)) =>
+            val pkRows = cat.rows(q.ref(pkAlias).table).toDouble
+            val (fkEst, pkEst) = if (j.build.aliases.contains(fkAlias)) (el, er) else (er, el)
+            math.max(1.0, fkEst * (pkEst / pkRows))
+          case Some(fkfk: Rewrites.FkFk) =>
+            val pTable = cat.predefined
+              .find(pj => pj.fTable == q.ref(fkfk.aAlias).table && pj.fkCol == fkfk.aFkCol)
+              .map(pj => cat.rows(pj.pTable).toDouble).getOrElse(math.max(el, er))
+            math.max(1.0, el * er / pTable)
+          case None =>
+            if (j.keys.isEmpty) el * er else math.max(el, er)
+        }
+        (j.copy(build = build, probe = probe, steps = steps), est)
+    }
+    new Lowered(gate(low.root)._1, low.extended)
+  }
+
   def run(q: Query): (DataFrame, QueryMetrics) = {
     val m = new QueryMetrics
     val persisted = mutable.ArrayBuffer[DataFrame]()
     try {
-      val low = GrainPlanner.lower(q, q.plan, cfg, cat)
+      val low = plan(q)
       val scanFilters = mutable.Map[String, mutable.ArrayBuffer[RowMask]]()
       low.mergedAway.foreach(m.scanned(_) = 0L) // merged relationships are never scanned
 
       def rowsOf(alias: String): Int = cat.rows(q.ref(alias).table).toInt
-
-      // -- sip benefit gate ------------------------------------------------
-      // In DuckDB sip is free: the hash build materializes the build side
-      // anyway. Our two-phase Spark emulation pays an extra pass, so we pass
-      // information only when it can pay for itself: the estimated build
-      // cardinality must not exceed the probe table's size. Estimates use
-      // textbook FK-semijoin selectivity over the lowered plan.
-      def estLeaf(alias: String): Double = {
-        val r = q.ref(alias)
-        val n = cat.rows(r.table).toDouble
-        if (r.pred.isEmpty) n
-        else if (cat.pk(r.table).flatMap(r.pointKey).isDefined) 1.0
-        else math.max(1.0, n / 20.0)
-      }
-      def estRows(p: PhysPlan): Double = p match {
-        case ScanLeaf(a) => estLeaf(a)
-        case j: JoinNode =>
-          val el = estRows(j.build); val er = estRows(j.probe)
-          j.keys.headOption.flatMap(_.rewrite) match {
-            case Some(Rewrites.FkPk(fkAlias, _, pkAlias, _)) =>
-              val pkRows = cat.rows(q.ref(pkAlias).table).toDouble
-              val (fkEst, pkEst) = if (j.build.aliases.contains(fkAlias)) (el, er) else (er, el)
-              math.max(1.0, fkEst * (pkEst / pkRows))
-            case Some(fkfk: Rewrites.FkFk) =>
-              val pTable = cat.predefined
-                .find(pj => pj.fTable == q.ref(fkfk.aAlias).table && pj.fkCol == fkfk.aFkCol)
-                .map(pj => cat.rows(pj.pTable).toDouble).getOrElse(math.max(el, er))
-              math.max(1.0, el * er / pTable)
-            case None =>
-              if (j.keys.isEmpty) el * er else math.max(el, er)
-          }
-      }
-      def sipWorthIt(build: PhysPlan, probeAlias: String): Boolean =
-        estRows(build) <= cat.rows(q.ref(probeAlias).table).toDouble
 
       // Materialized-RID scanning (§4 step 1): a scan reads the join keys
       // and step sources the lowering chose (rid_<fk> for rewritten edges),
@@ -104,17 +120,13 @@ final class SparkExec(cat: GrainCatalog, cfg: GrainConfig) {
             Bitmap.fromColumn(dfL, k.name, numRows)
           })
           // Sideways information passing from the build side before the
-          // probe side is constructed; the merged join's mask is not gated.
+          // probe side is constructed.
           j.steps.foreach { s =>
-            if (s.isInstanceOf[MapToOther] || sipWorthIt(j.build, s.target)) {
-              scanFilters.getOrElseUpdate(s.target, mutable.ArrayBuffer.empty) +=
-                s.mask(maskOf(s.from), rowsOf(s.target))
-              m.ran(s)
-            }
+            scanFilters.getOrElseUpdate(s.target, mutable.ArrayBuffer.empty) +=
+              s.mask(maskOf(s.from), rowsOf(s.target))
           }
 
           val dfR = exec(j.probe)
-          m.joined(j)
           def keyCond(k: JoinKey) = col(k.build.name) === col(k.probe.name)
 
           j.kind match {

@@ -16,14 +16,10 @@ object Canon {
 }
 
 /** (sipFilters, reverseSemijoins, mergedJoins, ridJoins): how many SJoin,
-  * SJoinIdxR and SJoinIdxM steps and RID-keyed joins a query has.
+  * SJoinIdxR and SJoinIdxM steps and RID-keyed joins a plan has. An
+  * executor runs every step of the plan it keeps (`exec.plan(q)`).
   */
 object StepCounts {
-  /** The steps an executor ran. */
-  def of(m: QueryMetrics): (Int, Int, Int, Int) =
-    (m.sipFilters, m.reverseSemijoins, m.mergedJoins, m.ridJoins)
-
-  /** Every step of a lowered plan, as the serial engine runs them all. */
   def of(low: Lowered): (Int, Int, Int, Int) = {
     val steps = low.joins.flatMap(_.steps)
     (steps.count(_.isInstanceOf[Direct]), steps.count(_.isInstanceOf[MapToF]),

@@ -83,11 +83,14 @@ class ColumnStoreSpec extends SparkSpec {
     assert(t.col("a").any(1) == 3L)
   }
 
-  test("rows are ordered by __rid so position == RID") {
-    val df = Seq((2L, 0L), (0L, 2L), (1L, 1L)).toDF("v", "__rid")
-    val t = new ColumnStore().load("t", df)
-    // __rid 0 carries v=2, __rid 1 carries v=1, __rid 2 carries v=0
-    assert((0 until 3).map(i => t.col("v").any(i)) == Seq(2L, 1L, 0L))
+  test("__rid must be the row position, and is not stored") {
+    val t = new ColumnStore().load("t", Seq((7L, 0L), (5L, 1L), (6L, 2L)).toDF("v", "__rid"))
+    assert((0 until 3).map(t.col("v").any) == Seq(7L, 5L, 6L))
+    assert(t.colNames == Seq("v"))
+    intercept[RuntimeException](t.col("__rid"))
+    val e = intercept[IllegalArgumentException](
+      new ColumnStore().load("shuffled", Seq((2L, 0L), (0L, 2L), (1L, 1L)).toDF("v", "__rid")))
+    assert(e.getMessage.contains("shuffled: row 1 holds __rid 2"))
   }
 
   test("value index maps value -> all row positions") {

@@ -63,14 +63,25 @@ class ColumnarExecSpec extends SparkSpec {
   }
 
   test("running every query twice leaves each table's shared identity vector as it was") {
-    val engines = Seq(GrainConfig.Duck, GrainConfig.RidOnly, GrainConfig.NoJm, GrainConfig.Full)
-      .map(c => (x: Query) => new ColumnarExec(store, cat, c).run(x)._1) :+
-      ((x: Query) => new repro.graphsim.GraphflowSim(store).run(x)._1)
-    for (run <- engines; query <- SnbQueries.queries(sc)) {
-      val first = run(query).rows.map(_.toSeq)
-      assert(run(query).rows.map(_.toSeq) == first, query.name)
+    def counters(m: QueryMetrics) = (m.scanned, m.probes, m.indexLookups, m.zonesSkipped)
+    for (cfg <- Seq(GrainConfig.Duck, GrainConfig.RidOnly, GrainConfig.NoJm, GrainConfig.Full)) {
+      // one executor per config: the second run executes the plan the first kept
+      val exec = new ColumnarExec(store, cat, cfg)
+      for (query <- SnbQueries.queries(sc)) {
+        val (first, m1) = exec.run(query)
+        assert(exec.plan(query) eq exec.plan(query), s"${query.name} $cfg")
+        val (second, m2) = exec.run(query)
+        assert(second.rows.map(_.toSeq) == first.rows.map(_.toSeq), s"${query.name} $cfg")
+        assert(counters(m2) == counters(m1), s"${query.name} $cfg")
+      }
     }
-    for (t <- store.tables.values) assert(t.allRows.toSeq == (0 until t.numRows), t.name)
+    val gf = new repro.graphsim.GraphflowSim(store)
+    for (query <- SnbQueries.queries(sc))
+      assert(gf.run(query)._1.rows.map(_.toSeq) == gf.run(query)._1.rows.map(_.toSeq), query.name)
+    for (t <- store.tables.values) {
+      assert(t.allRows.toSeq == (0 until t.numRows), t.name)
+      assert(!t.colNames.contains("__rid"), t.name)
+    }
   }
 
   test("global MIN/MAX order doubles as sorted does (NaN above all) and skip null strings") {

@@ -36,7 +36,7 @@ class GrainPlannerSpec extends SparkSpec {
     "po" -> "post", "c" -> "comment")
   private def query(plan: Plan, joins: JoinPred*): Query =
     Query("q", plan.aliases.map(a => TableRef(a, tables(a))), joins, Nil, planOpt = Some(plan))
-  private def lower(q: Query, cfg: GrainConfig): Lowered = GrainPlanner.lower(q, q.plan, cfg, cat)
+  private def lower(q: Query, cfg: GrainConfig): Lowered = GrainPlanner.lower(q, cfg, cat)
 
   private val Levels = Seq(Duck, RidOnly, NoJm, Full)
   private val creator = JoinPred("po", "creatorid", "p", "personid")
@@ -119,7 +119,10 @@ class GrainPlannerSpec extends SparkSpec {
       assert(Set(merges.head.from.alias, merges.head.to.alias) == Set("p1", "p2"), q.name)
       assert(low.mergedAway == Seq("k1"), q.name)
       assert(low.root.aliases.toSet == Set("p1", "p2", "k2"), q.name)
-      for (cfg <- Seq(Duck, RidOnly, NoJm)) assert(lower(q, cfg).mergedAway.isEmpty, s"${q.name} $cfg")
+      for (cfg <- Seq(Duck, RidOnly, NoJm)) {
+        val below = lower(q, cfg)
+        assert(below.mergedAway.isEmpty && below.root.aliases == q.plan.aliases, s"${q.name} $cfg")
+      }
     }
   }
 

@@ -34,7 +34,7 @@ class JoinMergeSpec extends SparkSpec {
 
   test("IC1-1's knows is eligible: no filter, no projection, two predefined joins") {
     val query = q("IC1-1")
-    val (joins, merged, plan) = JoinMerge.preprocess(query, query.plan, cat, enabled = true)
+    val (joins, merged, plan) = JoinMerge.preprocess(query, cat)
     assert(merged.size == 1)
     val mj = merged.head
     assert(mj.fAlias == "k" && mj.fTable == "knows")
@@ -48,32 +48,32 @@ class JoinMergeSpec extends SparkSpec {
     // IS3 projects k.creationdate — the real IS3 must NOT be merged.
     val query = q("IS3")
     assert(query.out.exists(_.alias == "k"))
-    val (_, merged, _) = JoinMerge.preprocess(query, query.plan, cat, enabled = true)
+    val (_, merged, _) = JoinMerge.preprocess(query, cat)
     assert(merged.isEmpty)
   }
 
   test("a filtered relationship table is not merged (IC5-1 fp has joindate filter)") {
     val query = q("IC5-1")
-    val (_, merged, _) = JoinMerge.preprocess(query, query.plan, cat, enabled = true)
+    val (_, merged, _) = JoinMerge.preprocess(query, cat)
     assert(merged.forall(_.fAlias != "fp"))
   }
 
   test("IC1-2's chained knows are not merged (knows-knows join is not predefined)") {
     val query = q("IC1-2")
-    val (_, merged, _) = JoinMerge.preprocess(query, query.plan, cat, enabled = true)
+    val (_, merged, _) = JoinMerge.preprocess(query, cat)
     assert(merged.isEmpty)
   }
 
   test("IC6-2 merges both post_tag references at different plan nodes") {
     val query = q("IC6-2")
-    val (_, merged, plan) = JoinMerge.preprocess(query, query.plan, cat, enabled = true)
+    val (_, merged, plan) = JoinMerge.preprocess(query, cat)
     assert(merged.map(_.fAlias).toSet == Set("mt1", "mt2"))
     assert(!plan.aliases.contains("mt1") && !plan.aliases.contains("mt2"))
   }
 
   test("a merged edge whose join node already binds one leaves its relationship leaf unmerged") {
     for (query <- MergeShapes.queries) {
-      val (joins, merged, plan) = JoinMerge.preprocess(query, query.plan, cat, enabled = true)
+      val (joins, merged, plan) = JoinMerge.preprocess(query, cat)
       assert(merged.map(_.fAlias) == Seq("k1"), query.name)
       assert(Set(merged.head.a, merged.head.b) == Set("p1", "p2"), query.name)
       assert(plan.aliases.toSet == Set("p1", "p2", "k2"), query.name)
@@ -81,17 +81,11 @@ class JoinMergeSpec extends SparkSpec {
     }
   }
 
-  test("disabled flag passes everything through unchanged") {
-    val query = q("IC1-1")
-    val (joins, merged, plan) = JoinMerge.preprocess(query, query.plan, cat, enabled = false)
-    assert(merged.isEmpty && joins == query.joins && plan == query.plan)
-  }
-
   test("tables without extended indices (comment) are never merged") {
     // IC12's comment c has two joins, no filter, no projection — but comment
     // has four FKs and deliberately no extended index.
     val query = q("IC12")
-    val (_, merged, _) = JoinMerge.preprocess(query, query.plan, cat, enabled = true)
+    val (_, merged, _) = JoinMerge.preprocess(query, cat)
     assert(merged.forall(_.fAlias != "c"))
     // while knows and post_tag do merge
     assert(merged.map(_.fAlias).toSet == Set("k", "mt"))

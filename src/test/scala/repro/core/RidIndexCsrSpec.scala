@@ -16,11 +16,11 @@ class RidIndexCsrSpec extends AnyFunSuite {
   private val FRows = 5
   private val PRows = 4
 
-  // The running-example Follows index (Fig. 2): keys = Person RIDs.
+  // The running-example Follows index (Fig. 2): keys = Person RIDs,
+  // positions = Follows RIDs.
   private val idx = RidIndexCsr.build(
     nKeys = 4,
     keys = Array(0, 2, 0, 1, 0),   // rid_ID1 per Follows row
-    fs = Array(0, 1, 2, 3, 4),     // Follows __rid
     others = Array(1, 3, 2, 2, 3)) // rid_ID2 per Follows row
 
   test("degree and neighbors match the running example") {
@@ -71,7 +71,7 @@ class RidIndexCsrSpec extends AnyFunSuite {
   }
 
   test("dangling other-RIDs (-1) are skipped by walk/mapToOther") {
-    val d = RidIndexCsr.build(2, Array(0, 0, 1), Array(0, 1, 2), Array(5, -1, -1))
+    val d = RidIndexCsr.build(2, Array(0, 0, 1), Array(5, -1, -1))
     val (ps, os) = d.walk(Array(0, 1))
     assert(ps.toSeq == Seq(0) && os.toSeq == Seq(5))
     assert(d.mapToOther(bm(0, 1), 6).toArray.toSeq == Seq(5))
@@ -79,14 +79,20 @@ class RidIndexCsrSpec extends AnyFunSuite {
     assert(d.mapToF(bm(0, 1), 3).toArray.sorted.toSeq == Seq(0, 1, 2))
   }
 
+  /** One entry, key 0 -> F RID 9: the last of ten F rows, nine dangling. */
+  private val plain = RidIndexCsr.build(4, Array.fill(9)(-1) :+ 0, null)
+
   test("mapping into a table too small for the index's RIDs fails") {
     val e = intercept[IllegalArgumentException](idx.mapToF(bm(0), FRows - 1))
     assert(e.getMessage.contains("RID 4 is outside the 4 rows"))
     intercept[IllegalArgumentException](idx.mapToOther(bm(0), PRows - 1))
+    assert(Inspect.neighbors(plain, 0).toSeq == Seq(9))
+    val f = intercept[IllegalArgumentException](plain.mapToF(bm(0), 9))
+    assert(f.getMessage.contains("RID 9 is outside the 9 rows"))
   }
 
   test("dangling keys (-1) are dropped at build time") {
-    val d = RidIndexCsr.build(2, Array(-1, 1), Array(0, 1), null)
+    val d = RidIndexCsr.build(2, Array(-1, 1), null)
     assert(d.nEntries == 1)
     assert(Inspect.neighbors(d, 1).toSeq == Seq(1))
     assert(!d.extended)
@@ -94,7 +100,6 @@ class RidIndexCsrSpec extends AnyFunSuite {
 
   test("sizeBytes counts offsets + entries (+ extension)") {
     assert(idx.sizeBytes == 4L * (5 + 5 + 5))
-    val plain = RidIndexCsr.build(4, Array(0), Array(9), null)
     assert(plain.sizeBytes == 4L * (5 + 1))
   }
 
@@ -106,8 +111,7 @@ class RidIndexCsrSpec extends AnyFunSuite {
       probe <- Gen.listOf(Gen.choose(0, nKeys - 1))
     } yield (nKeys, keys, probe)
     val prop = Prop.forAll(gen) { case (nKeys, keys, probe) =>
-      val fs = keys.indices.toArray
-      val built = RidIndexCsr.build(nKeys, keys.toArray, fs, null)
+      val built = RidIndexCsr.build(nKeys, keys.toArray, null)
       val probeSet = probe.toSet
       val expected = keys.zipWithIndex.collect { case (k, i) if probeSet(k) => i }.toSet
       built.mapToF(bm(probe: _*), keys.size).toArray.toSet == expected

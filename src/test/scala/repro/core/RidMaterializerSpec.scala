@@ -179,9 +179,9 @@ class RidMaterializerSpec extends SparkSpec {
       val sameF = byKey(cat.ext("f"), fpk, cols) == byKey(fRef, fpk, cols)
       val sameDangling = pjs.forall(pj =>
         cat.danglingCounts(("f", pj.fkCol)) == refF.count(_(cols.indexOf(pj.ridCol)) == -1L))
-      // The CSR from the reference's arrays, in its own F-RID order.
-      val refCsr = RidIndexCsr.build(pRows.size, refF.map(_(1).toInt), refF.map(_(0).toInt),
-        refF.map(_(2).toInt))
+      // The CSR from the reference's arrays: sorted by __rid, so positions
+      // are F RIDs.
+      val refCsr = RidIndexCsr.build(pRows.size, refF.map(_(1).toInt), refF.map(_(2).toInt))
       val csr = cat.buildRidIndex("f", "x", extendedWith = Some("y"))
       def entries(c: RidIndexCsr, k: Int) =
         (c.offsets(k) until c.offsets(k + 1)).map(i => (c.fRids(i), c.otherRids(i))).toSet

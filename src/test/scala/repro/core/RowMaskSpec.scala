@@ -42,7 +42,7 @@ class RowMaskSpec extends AnyFunSuite {
     fRows     <- Gen.choose(0, 300)
     keys      <- Gen.listOfN(fRows, rid(nKeys))
     others    <- Gen.listOfN(fRows, rid(otherRows))
-  } yield (RidIndexCsr.build(nKeys, keys.toArray, Array.range(0, fRows), others.toArray), fRows, otherRows)
+  } yield (RidIndexCsr.build(nKeys, keys.toArray, others.toArray), fRows, otherRows)
 
   private def rid(rows: Int): Gen[Int] =
     if (rows == 0) Gen.const(-1) else Gen.frequency(1 -> Gen.const(-1), 6 -> Gen.choose(0, rows - 1))

@@ -24,7 +24,7 @@ class JobEquivalenceSpec extends SparkSpec {
     expectedRows.getOrElseUpdate(q.name, Canon.ofDf(duck.run(q)._1))
 
   // Spark-Grain's (sipFilters, reverseSemijoins, mergedJoins, ridJoins) per
-  // query: the lowered steps its sip-benefit gate lets through.
+  // query: the lowered steps its sip-benefit gate keeps in its plan.
   private val SparkGrainSteps = Map[String, (Int, Int, Int, Int)](
     "1a" -> ((0, 0, 1, 2)),
     "1b" -> ((0, 1, 1, 2)),
@@ -169,19 +169,19 @@ class JobEquivalenceSpec extends SparkSpec {
     }
 
     test(s"JOB ${q.name}: spark-grain matches spark-duck") {
-      val (df, m) = grain.run(q)
+      val (df, _) = grain.run(q)
       assert(Canon.ofDf(df) == expected(q), s"grain mismatch on ${q.name}")
-      assert(StepCounts.of(m) == SparkGrainSteps(q.name), s"grain steps on ${q.name}")
+      assert(StepCounts.of(grain.plan(q)) == SparkGrainSteps(q.name), s"grain steps on ${q.name}")
     }
 
     for ((cfgName, cfg) <- Seq(
         "duck" -> GrainConfig.Duck, "rid-only" -> GrainConfig.RidOnly,
         "no-jm" -> GrainConfig.NoJm, "full" -> GrainConfig.Full)) {
       test(s"JOB ${q.name}: columnar[$cfgName] matches spark-duck") {
-        val (inter, m) = new ColumnarExec(store, cat, cfg).run(q)
+        val exec = new ColumnarExec(store, cat, cfg)
+        val (inter, m) = exec.run(q)
         assert(Canon.ofInter(inter) == expected(q), s"columnar[$cfgName] mismatch on ${q.name}")
-        assert(StepCounts.of(m) == StepCounts.of(GrainPlanner.lower(q, q.plan, cfg, cat)),
-          s"columnar[$cfgName] steps on ${q.name}")
+        assert(exec.plan(q).root == GrainPlanner.lower(q, cfg, cat).root, s"columnar[$cfgName] plan of ${q.name}")
         ColumnarAccess.get(cfgName).foreach { want =>
           assert((m.totalScanned, m.probes, m.indexLookups, m.zonesSkipped) == want(q.name),
             s"columnar[$cfgName] access pattern on ${q.name}")

@@ -25,7 +25,7 @@ class SnbEquivalenceSpec extends SparkSpec {
     expectedRows.getOrElseUpdate(q.name, Canon.ofDf(duckSpark.run(q)._1))
 
   // Spark-Grain's (sipFilters, reverseSemijoins, mergedJoins, ridJoins) per
-  // query: the lowered steps its sip-benefit gate lets through.
+  // query: the lowered steps its sip-benefit gate keeps in its plan.
   private val SparkGrainSteps = Map[String, (Int, Int, Int, Int)](
     "IS1" -> ((1, 0, 0, 1)),
     "IS2" -> ((2, 1, 0, 3)),
@@ -160,19 +160,19 @@ class SnbEquivalenceSpec extends SparkSpec {
     }
 
     test(s"${q.name}: spark-grain matches spark-duck") {
-      val (df, m) = grainSpark.run(q)
+      val (df, _) = grainSpark.run(q)
       assert(Canon.ofDf(df) == expected(q), s"grain mismatch on ${q.name}")
-      assert(StepCounts.of(m) == SparkGrainSteps(q.name), s"grain steps on ${q.name}")
+      assert(StepCounts.of(grainSpark.plan(q)) == SparkGrainSteps(q.name), s"grain steps on ${q.name}")
     }
 
     for ((cfgName, cfg) <- Seq(
         "duck" -> GrainConfig.Duck, "rid-only" -> GrainConfig.RidOnly,
         "no-jm" -> GrainConfig.NoJm, "full" -> GrainConfig.Full)) {
       test(s"${q.name}: columnar[$cfgName] matches spark-duck") {
-        val (inter, m) = new ColumnarExec(store, cat, cfg).run(q)
+        val exec = new ColumnarExec(store, cat, cfg)
+        val (inter, m) = exec.run(q)
         assert(Canon.ofInter(inter) == expected(q), s"columnar[$cfgName] mismatch on ${q.name}")
-        assert(StepCounts.of(m) == StepCounts.of(GrainPlanner.lower(q, q.plan, cfg, cat)),
-          s"columnar[$cfgName] steps on ${q.name}")
+        assert(exec.plan(q).root == GrainPlanner.lower(q, cfg, cat).root, s"columnar[$cfgName] plan of ${q.name}")
         ColumnarAccess.get(cfgName).foreach { want =>
           assert((m.totalScanned, m.probes, m.indexLookups, m.zonesSkipped) == want(q.name),
             s"columnar[$cfgName] access pattern on ${q.name}")
