@@ -20,7 +20,7 @@ import scala.jdk.CollectionConverters._
 object Oracle {
 
   /** Result rows in a form every engine agrees on: columns sorted by name,
-    * doubles to 6 decimals, nulls as ∅, and the rows sorted. */
+    * doubles to 6 decimals, nulls as ∅, and the rows sorted column by column. */
   def canon(cols: Seq[String], rows: Seq[Seq[Any]]): Seq[Seq[String]] = {
     val order = cols.sorted
     val idx   = order.map(cols.indexOf(_))
@@ -34,7 +34,7 @@ object Oracle {
           case x                        => x.toString
         }
       })
-      .sortBy(_.mkString(""))
+      .sorted(Ordering.Implicits.seqOrdering[Seq, String])
   }
 
   /** The DuckDB type of a Spark column: BIGINT, DOUBLE, DATE or VARCHAR. */

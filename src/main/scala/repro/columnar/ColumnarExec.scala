@@ -32,11 +32,11 @@ final class Inter(val schema: IndexedSeq[String], val rows: mutable.ArrayBuffer[
   * kept for every later one.
   */
 final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig) {
-  private val plans = mutable.HashMap[Query, Lowered]()
+  private val plans = mutable.HashMap[Query, PhysPlan]()
 
   /** `q` lowered under this executor's config: the plan every run of `q`
     * executes, every step of it. */
-  def plan(q: Query): Lowered = plans.getOrElseUpdate(q, GrainPlanner.lower(q, cfg, cat))
+  def plan(q: Query): PhysPlan = plans.getOrElseUpdate(q, GrainPlanner.lower(q, cfg, cat))
 
   def run(q: Query): (Inter, QueryMetrics) = {
     val m = new QueryMetrics
@@ -102,7 +102,7 @@ final class ColumnarExec(store: ColumnStore, cat: GrainCatalog, cfg: GrainConfig
         Rel.joined(interL, li, interR, ri)
     }
 
-    val spj = exec(low.root)
+    val spj = exec(low)
     def colOf(oc: OutCol): ColRef = spj.col(oc.alias, oc.col)
     q.agg match {
       case None => (Rel.project(spj, q.out), m)

@@ -200,6 +200,8 @@ final class GrainCatalog(val spark: SparkSession) {
   private def afterFreeze[T](m: mutable.Map[String, T], name: String): T =
     m.getOrElse(name, sys.error(s"table $name: unknown, or catalog not frozen"))
 
+  /** The registered frame: the DuckDB oracle's independent input. No
+    * executor scans it; every executor scans [[ext]], the stored table. */
   def raw(name: String): DataFrame = rawTables(name)
   def ext(name: String): DataFrame = afterFreeze(extTables, name)
   def rows(name: String): Long = afterFreeze(rowCounts, name)

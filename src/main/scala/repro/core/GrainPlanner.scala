@@ -4,7 +4,8 @@ import scala.collection.mutable
 
 /** The paper's four ablation steps (§7.3.1, Table 10); each adds one
   * mechanism to the step before it:
-  *  - `Duck`: value joins over the raw tables, full scans (vanilla DuckDB);
+  *  - `Duck`: value joins over the extended tables' own columns, full scans
+  *    (vanilla DuckDB);
   *  - `RidOnly`: RID joins and SJoin sip (GRainDB-JM-RSJ);
   *  - `NoJm`: + reverse semijoins through the RID index (GRainDB-JM);
   *  - `Full`: + join merging (GRainDB).
@@ -66,26 +67,20 @@ final case class IdxMerge(from: Key, index: RidIndexCsr, to: Key, fAlias: String
 
 /** The physical plan both executors interpret. The build side runs first;
   * its `steps` filter probe-side scans before the probe side runs. */
-sealed trait PhysPlan { def aliases: Seq[String] }
+sealed trait PhysPlan {
+  def aliases: Seq[String]
+  /** Every join node, children before parents. */
+  def joins: Seq[JoinNode] = this match {
+    case _: ScanLeaf => Nil
+    case j: JoinNode => j.build.joins ++ j.probe.joins :+ j
+  }
+  /** Relationship aliases that join merging removed from the plan. */
+  def mergedAway: Seq[String] = joins.collect { case JoinNode(_, _, m: IdxMerge, _, _) => m.fAlias }
+}
 final case class ScanLeaf(alias: String) extends PhysPlan { def aliases: Seq[String] = Seq(alias) }
 final case class JoinNode(build: PhysPlan, probe: PhysPlan, kind: JoinKind, keys: Seq[JoinKey],
                           steps: Seq[SipStep]) extends PhysPlan {
   def aliases: Seq[String] = build.aliases ++ probe.aliases
-}
-
-/** A lowered query. `extended`: scans read the RID-extended tables
-  * (GRainDB) rather than the raw ones (DuckDB). */
-final class Lowered(val root: PhysPlan, val extended: Boolean) {
-  /** Every join node, children before parents. */
-  def joins: Seq[JoinNode] = {
-    def walk(p: PhysPlan): Seq[JoinNode] = p match {
-      case _: ScanLeaf => Nil
-      case j: JoinNode => walk(j.build) ++ walk(j.probe) :+ j
-    }
-    walk(root)
-  }
-  /** Relationship aliases that join merging removed from the plan. */
-  def mergedAway: Seq[String] = joins.collect { case JoinNode(_, _, m: IdxMerge, _, _) => m.fAlias }
 }
 
 /** Lowers a query and its pinned plan to the [[PhysPlan]] both executors
@@ -94,7 +89,7 @@ final class Lowered(val root: PhysPlan, val extended: Boolean) {
   * Each executor lowers a query once and keeps the result.
   */
 object GrainPlanner {
-  def lower(q: Query, cfg: GrainConfig, cat: GrainCatalog): Lowered = {
+  def lower(q: Query, cfg: GrainConfig, cat: GrainCatalog): PhysPlan = {
     import GrainConfig._
     val (joins, merged, p) =
       if (cfg.includes(Full)) JoinMerge.preprocess(q, cat) else (q.joins, Seq.empty, q.plan)
@@ -142,7 +137,7 @@ object GrainPlanner {
         val steps = keys.flatMap(step) ++ merge.map(m => MapToOther(m.from, m.index, m.to.alias))
         JoinNode(lowerPlan(l), lowerPlan(r), kind, keys, steps)
     }
-    new Lowered(lowerPlan(p), extended = cfg.includes(RidOnly))
+    lowerPlan(p)
   }
 }
 

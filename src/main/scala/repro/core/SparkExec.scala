@@ -5,13 +5,15 @@ import org.apache.spark.sql.functions._
 import scala.collection.mutable
 
 /** IR → Spark DataFrame executor: interprets the plan [[GrainPlanner]]
-  * lowers. Under [[GrainConfig.Duck]] it is the vanilla-DuckDB analogue —
-  * value-based equality joins over the raw tables, full sequential scans.
-  * Under the other steps it is the GRainDB analogue: joins run on the
-  * lowered RID keys over the extended tables, and each join node's sideways
-  * steps (SJoin §4, SJoinIdxR §5.1, the merged join's mask §5.2) become
-  * row-bitmask filters on probe-side scans; merged joins read their pairs
-  * from the extended index (SJoinIdxM §5.2).
+  * lowers. Every config scans the catalog's frozen extended tables, the one
+  * stored copy of each table, so only the plan differs. Under
+  * [[GrainConfig.Duck]] it is the vanilla-DuckDB analogue — value-based
+  * equality joins over the extended tables' own columns, full sequential
+  * scans. Under the other steps it is the GRainDB analogue: joins run on the
+  * lowered RID keys, and each join node's sideways steps (SJoin §4,
+  * SJoinIdxR §5.1, the merged join's mask §5.2) become row-bitmask filters
+  * on probe-side scans; merged joins read their pairs from the extended
+  * index (SJoinIdxM §5.2).
   *
   * Execution is two-phase: the build side runs (and is persisted) before
   * its bitmasks are built and the probe side is constructed. That costs a
@@ -24,11 +26,11 @@ import scala.collection.mutable
   * kept for every later one.
   */
 final class SparkExec(cat: GrainCatalog, cfg: GrainConfig) {
-  private val plans = mutable.HashMap[Query, Lowered]()
+  private val plans = mutable.HashMap[Query, PhysPlan]()
 
   /** `q` lowered under this executor's config, without the steps the sip
     * benefit gate drops: the plan every run of `q` executes. */
-  def plan(q: Query): Lowered = plans.getOrElseUpdate(q, gated(q, GrainPlanner.lower(q, cfg, cat)))
+  def plan(q: Query): PhysPlan = plans.getOrElseUpdate(q, gated(q, GrainPlanner.lower(q, cfg, cat)))
 
   // In DuckDB sip is free: the hash build materializes the build side
   // anyway. Our two-phase Spark emulation pays an extra pass, so we pass
@@ -36,7 +38,7 @@ final class SparkExec(cat: GrainCatalog, cfg: GrainConfig) {
   // cardinality must not exceed the probe table's size. Estimates use
   // textbook FK-semijoin selectivity over the lowered plan. The merged
   // join's mask is not gated.
-  private def gated(q: Query, low: Lowered): Lowered = {
+  private def gated(q: Query, low: PhysPlan): PhysPlan = {
     def estLeaf(alias: String): Double = {
       val r = q.ref(alias)
       val n = cat.rows(r.table).toDouble
@@ -66,7 +68,7 @@ final class SparkExec(cat: GrainCatalog, cfg: GrainConfig) {
         }
         (j.copy(build = build, probe = probe, steps = steps), est)
     }
-    new Lowered(gate(low.root)._1, low.extended)
+    gate(low)._1
   }
 
   def run(q: Query): (DataFrame, QueryMetrics) = {
@@ -79,20 +81,20 @@ final class SparkExec(cat: GrainCatalog, cfg: GrainConfig) {
 
       def rowsOf(alias: String): Int = cat.rows(q.ref(alias).table).toInt
 
-      // Materialized-RID scanning (§4 step 1): a scan reads the join keys
-      // and step sources the lowering chose (rid_<fk> for rewritten edges),
-      // the original FK/PK columns only if the query projects or filters
-      // them, and __rid of an extended table always, as it is virtual.
+      // Materialized-RID scanning (§4 step 1): a scan reads the columns the
+      // query reads and those the plan names for its alias: join keys, step
+      // sources (rid_<fk> for rewritten edges) and the __rid a step filters
+      // on, which covers a merged join's ends (its MapToOther step's source
+      // and target). A value-join plan names no RID column, so its scans
+      // read none.
       val keyCols: Map[String, Seq[String]] = low.joins.flatMap { j =>
-        j.keys.flatMap(k => Seq(k.build, k.probe)) ++ j.steps.map(_.from)
+        j.keys.flatMap(k => Seq(k.build, k.probe)) ++ j.steps.flatMap(s => Seq(s.from, Key(s.target, "__rid")))
       }.groupMap(_.alias)(_.col)
 
       def scan(alias: String): DataFrame = {
         val t = q.ref(alias).table
-        val base = if (low.extended) cat.ext(t) else cat.raw(t)
-        val needed = (q.readCols(alias) ++ keyCols.getOrElse(alias, Nil) ++
-          (if (low.extended) Seq("__rid") else Nil)).distinct
-        var df = base.select(needed.map(c => col(c).as(Key(alias, c).name)): _*)
+        val needed = (q.readCols(alias) ++ keyCols.getOrElse(alias, Nil)).distinct
+        var df = cat.ext(t).select(needed.map(c => col(c).as(Key(alias, c).name)): _*)
         q.ref(alias).pred.foreach(p => df = df.filter(Pred.toColumn(p, alias + "_")))
         // Scan accounting + ScanSJ semijoin filters.
         val filters = scanFilters.getOrElse(alias, mutable.ArrayBuffer.empty)
@@ -147,11 +149,11 @@ final class SparkExec(cat: GrainCatalog, cfg: GrainConfig) {
           }
       }
 
-      val spj = exec(low.root)
+      val spj = exec(low)
       val result = q.agg match {
         case None => spj.select(q.out.map(oc => col(oc.name)): _*)
         case Some(a) =>
-          def isFloat(oc: OutCol): Boolean = QueryIR.isFloatCol(cat.raw(q.ref(oc.alias).table), oc.col)
+          def isFloat(oc: OutCol): Boolean = QueryIR.isFloatCol(cat.ext(q.ref(oc.alias).table), oc.col)
           // Floating sums/avgs are computed over integer cents so the result
           // is exact and independent of summation order — otherwise Spark and
           // the DuckDB oracle disagree in the last digit.

@@ -20,10 +20,10 @@ object Canon {
   * executor runs every step of the plan it keeps (`exec.plan(q)`).
   */
 object StepCounts {
-  def of(low: Lowered): (Int, Int, Int, Int) = {
-    val steps = low.joins.flatMap(_.steps)
+  def of(plan: PhysPlan): (Int, Int, Int, Int) = {
+    val steps = plan.joins.flatMap(_.steps)
     (steps.count(_.isInstanceOf[Direct]), steps.count(_.isInstanceOf[MapToF]),
-      low.joins.count(_.kind.isInstanceOf[IdxMerge]), low.joins.map(_.keys.count(_.rewrite.isDefined)).sum)
+      plan.joins.count(_.kind.isInstanceOf[IdxMerge]), plan.joins.map(_.keys.count(_.rewrite.isDefined)).sum)
   }
 }
 

@@ -36,7 +36,7 @@ class GrainPlannerSpec extends SparkSpec {
     "po" -> "post", "c" -> "comment")
   private def query(plan: Plan, joins: JoinPred*): Query =
     Query("q", plan.aliases.map(a => TableRef(a, tables(a))), joins, Nil, planOpt = Some(plan))
-  private def lower(q: Query, cfg: GrainConfig): Lowered = GrainPlanner.lower(q, cfg, cat)
+  private def lower(q: Query, cfg: GrainConfig): PhysPlan = GrainPlanner.lower(q, cfg, cat)
 
   private val Levels = Seq(Duck, RidOnly, NoJm, Full)
   private val creator = JoinPred("po", "creatorid", "p", "personid")
@@ -118,22 +118,20 @@ class GrainPlannerSpec extends SparkSpec {
       assert(merges.size == 1, q.name)
       assert(Set(merges.head.from.alias, merges.head.to.alias) == Set("p1", "p2"), q.name)
       assert(low.mergedAway == Seq("k1"), q.name)
-      assert(low.root.aliases.toSet == Set("p1", "p2", "k2"), q.name)
+      assert(low.aliases.toSet == Set("p1", "p2", "k2"), q.name)
       for (cfg <- Seq(Duck, RidOnly, NoJm)) {
         val below = lower(q, cfg)
-        assert(below.mergedAway.isEmpty && below.root.aliases == q.plan.aliases, s"${q.name} $cfg")
+        assert(below.mergedAway.isEmpty && below.aliases == q.plan.aliases, s"${q.name} $cfg")
       }
     }
   }
 
-  test("Duck lowers to value hash joins over the raw tables with no steps") {
+  test("Duck lowers to value hash joins with no steps") {
     for (q <- MergeShapes.queries) {
       val low = lower(q, Duck)
-      assert(!low.extended)
       assert(low.joins.forall(j => j.steps.isEmpty && j.keys.forall(_.rewrite.isEmpty)))
       assert(low.joins.map(_.keys.map(k => Set(k.build, k.probe))).flatten.toSet ==
         q.joins.map(j => Set(Key(j.a, j.acol), Key(j.b, j.bcol))).toSet)
-      assert(Seq(RidOnly, NoJm, Full).forall(lower(q, _).extended))
     }
   }
 }

@@ -172,7 +172,7 @@ class SnbEquivalenceSpec extends SparkSpec {
         val exec = new ColumnarExec(store, cat, cfg)
         val (inter, m) = exec.run(q)
         assert(Canon.ofInter(inter) == expected(q), s"columnar[$cfgName] mismatch on ${q.name}")
-        assert(exec.plan(q).root == GrainPlanner.lower(q, cfg, cat).root, s"columnar[$cfgName] plan of ${q.name}")
+        assert(exec.plan(q) == GrainPlanner.lower(q, cfg, cat), s"columnar[$cfgName] plan of ${q.name}")
         ColumnarAccess.get(cfgName).foreach { want =>
           assert((m.totalScanned, m.probes, m.indexLookups, m.zonesSkipped) == want(q.name),
             s"columnar[$cfgName] access pattern on ${q.name}")
